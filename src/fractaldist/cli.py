@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class RunConfig:
     spec: FractalSpec | None = None
     D: np.ndarray | None = None
     r: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def parse_builtin(name: str):
@@ -198,7 +197,8 @@ def cmd_geodesic(args) -> int:
     ctx = _context(cfg)
     x = VertexRef.parse(getattr(args, "from"))
     y = VertexRef.parse(args.to)
-    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=cfg.convergence_rtol)
+    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=cfg.convergence_rtol,
+                                     evict=True)
     name = f"convergence_{_safe(x)}_{_safe(y)}.csv"
     _write(os.path.join(cfg.out_dir, name), hist.to_csv())
     print(f"estimate {hist.estimate:.17g} (last gap {hist.last_gap:.3e}, "

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BrokenStructureError, DegenerateFormError, NoEqualWeightStructureError
-from .structure import FractalSpec, LevelGraph, VertexRef, build_level
+from .structure import FractalSpec, LevelGraph, UnionFind, VertexRef, Word, build_level
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-12
@@ -114,12 +114,11 @@ def assemble_discrete_form(D: np.ndarray, cell_weights: np.ndarray,
     return M
 
 
-def renorm_products(r: np.ndarray, lg: LevelGraph) -> np.ndarray:
-    """Per-cell weight products ``r_w`` in big-endian cell-code order."""
-    k = lg.spec.letters
+def renorm_products(r: np.ndarray, n: int) -> np.ndarray:
+    """Weight products ``r_w`` of all level-``n`` cells in big-endian cell-code order."""
     r = np.asarray(r, dtype=float)
     rw = np.ones(1)
-    for _ in range(lg.level):
+    for _ in range(n):
         rw = (rw[:, None] * r[None, :]).ravel()
     return rw
 
@@ -162,13 +161,9 @@ def trace_form(M, keep: np.ndarray):
     return traced, extend
 
 
-def _one_cell_graph(spec: FractalSpec) -> LevelGraph:
-    return build_level(spec, 1)
-
-
 def check_regularity(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> float:
     """Max-norm residual between the traced one-level form and ``-D``."""
-    lg = _one_cell_graph(spec)
+    lg = build_level(spec, 1)
     rw = np.asarray(r, dtype=float)
     M = assemble_discrete_form(D, 1.0 / rw, lg)
     traced, _ = trace_form(M, np.array(lg.boundary_ids))
@@ -184,7 +179,7 @@ def solve_equal_renormalization(spec: FractalSpec, D: np.ndarray) -> float:
     from proportionality.
     """
     D = np.asarray(D, dtype=float)
-    lg = _one_cell_graph(spec)
+    lg = build_level(spec, 1)
     M = assemble_discrete_form(D, np.ones(lg.num_cells), lg)
     traced, _ = trace_form(M, np.array(lg.boundary_ids))
     target = -D
@@ -209,7 +204,7 @@ def extension_matrices(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> np.nd
     Row ``b`` of ``A[i]`` holds the coefficients expressing the value of the
     energy-minimizing one-level extension at corner ``b`` of cell ``i``.
     """
-    lg = _one_cell_graph(spec)
+    lg = build_level(spec, 1)
     rw = np.asarray(r, dtype=float)
     M = assemble_discrete_form(D, 1.0 / rw, lg)
     q = spec.boundary
@@ -236,33 +231,15 @@ def fixed_point_eigendata(spec: FractalSpec, D: np.ndarray, r: np.ndarray,
     others = [x for x in range(q) if x != label]
     B = Ai[np.ix_(others, others)]
     # the fixed coordinate is deflated: v is zero there, so the eigenproblem
-    # lives on the remaining block; shifted inverse iteration targets r_i
-    shift = ri * (1.0 + 1e-9) + 1e-13
-    v_small = np.ones(len(others))
-    M = B - shift * np.eye(len(others))
-    try:
-        for _ in range(60):
-            v_next = np.linalg.solve(M, v_small)
-            norm = np.linalg.norm(v_next)
-            if not np.isfinite(norm) or norm == 0.0:
-                break
-            v_next /= norm
-            if np.linalg.norm(v_next - v_small) < 1e-15 or \
-               np.linalg.norm(v_next + v_small) < 1e-15:
-                v_small = v_next
-                break
-            v_small = v_next
-    except np.linalg.LinAlgError:
-        raise BrokenStructureError(
-            f"inverse iteration failed for cell {letter} (shift {shift})") from None
-    lam = float(v_small @ B @ v_small)
+    # lives on the remaining block
+    lams, vecs = np.linalg.eig(B)
+    nearest = int(np.argmin(np.abs(lams - ri)))
+    lam = lams[nearest]
     if abs(lam - ri) > EIGENVALUE_MATCH_TOL:
         raise BrokenStructureError(
             f"cell {letter}: nearest eigenvalue {lam:.12g} does not match weight {ri:.12g}")
-    if v_small.sum() < 0:
-        v_small = -v_small
     v = np.zeros(q)
-    v[others] = v_small
+    v[others] = vecs[:, nearest].real
     denom = float(u @ v)
     if abs(denom) < 1e-14:
         raise BrokenStructureError(f"cell {letter}: eigenvector orthogonal to D-column")
@@ -304,9 +281,13 @@ class HarmonicStructure:
             eigen[letter] = fixed_point_eigendata(spec, D, r_arr, A, letter)
         return cls(spec, D, r_arr, A, eigen)
 
-    @property
-    def boundary_count(self) -> int:
-        return self.spec.boundary
+    def values_on_cell(self, word: Word, values: np.ndarray) -> np.ndarray:
+        """Corner values on cell ``word`` of the harmonic function(s) with
+        boundary values ``values`` (corner axis first):
+        ``A[w_m] @ ... @ A[w_1] @ values`` for ``word = (w_1, ..., w_m)``."""
+        for letter in word:
+            values = self.A[letter] @ values
+        return values
 
     def energy0(self, alpha: np.ndarray, beta: np.ndarray | None = None) -> float:
         """Boundary form ``(-D a, b)``."""
@@ -373,33 +354,19 @@ def check_structure_conditions(hs: HarmonicStructure, *,
 
 def _connected_without(lg: LevelGraph, removed: int) -> bool:
     cells = lg.cells
-    q = cells.shape[1]
-    n = lg.num_vertices
-    parent = np.arange(n)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     for c in range(cells.shape[0]):
-        tup = [v for v in cells[c] if v != removed]
+        tup = [int(v) for v in cells[c] if v != removed]
         for s in range(len(tup) - 1):
-            ra, rb = find(tup[s]), find(tup[s + 1])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = {find(x) for x in range(n) if x != removed}
+            uf.union(tup[s], tup[s + 1])
+    roots = {uf.find(x) for x in range(lg.num_vertices) if x != removed}
     return len(roots) == 1
 
 
 def harmonic_eval(hs: HarmonicStructure, alpha: np.ndarray, ref: VertexRef) -> float:
     """Value of the harmonic function with boundary values ``alpha`` at the
     point addressed by ``ref`` (well defined across glued addresses)."""
-    vec = np.asarray(alpha, dtype=float)
-    for letter in ref.word:
-        vec = hs.A[letter] @ vec
-    return float(vec[ref.label])
+    return float(hs.values_on_cell(ref.word, np.asarray(alpha, dtype=float))[ref.label])
 
 
 def separation_constant(hs: HarmonicStructure, letter_i: int, letter_j: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import HarmonicStructure, renorm_products
-from .structure import LevelGraph, Word, _word_to_str
+from .structure import LevelGraph, Word, _word_to_str, decode_word, encode_word
 
 FEASIBILITY_RTOL = 1e-9
 
@@ -80,6 +80,18 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     return C
 
 
+def cell_form(hs: HarmonicStructure, rw: np.ndarray | float, X: np.ndarray,
+              Y: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell energy pairing ``(2 / r_w) * sum_j (-D X[c, :, j], Y[c, :, j])``.
+
+    ``X`` and ``Y`` hold corner values of shape ``[cells, q]`` or
+    ``[cells, q, N]``; ``Y`` defaults to ``X``, which gives the cell measures.
+    """
+    X = X.reshape(X.shape[0], X.shape[1], -1)
+    Y = X if Y is None else Y.reshape(X.shape)
+    return (2.0 / rw) * np.einsum("cqj,qp,cpj->c", X, -hs.D, Y)
+
+
 def _word_weight(hs: HarmonicStructure, word: Word) -> float:
     w = 1.0
     for letter in word:
@@ -90,28 +102,19 @@ def _word_weight(hs: HarmonicStructure, word: Word) -> float:
 def harmonic_cell_measure(hs: HarmonicStructure, h: HarmonicTuple, word: Word) -> float:
     """Measure of cell ``word`` under the tuple's summed energy measure:
     ``sum_j (2 / r_w) * E0(values of h_j on the cell)``."""
-    vals = h.alphas.T.astype(float)  # [q, N]
-    for letter in word:
-        vals = hs.A[letter] @ vals
-    rw = _word_weight(hs, word)
-    return float((2.0 / rw) * np.einsum("qj,qp,pj->", vals, -hs.D, vals))
+    vals = hs.values_on_cell(word, h.alphas.T.astype(float))  # [q, N]
+    return float(cell_form(hs, _word_weight(hs, word), vals[None])[0])
 
 
 def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
     """Vector of measures of all level-``n`` cells (big-endian code order)."""
-    C = cell_boundary_values(hs, h, n)
-    rw = np.ones(1)
-    for _ in range(n):
-        rw = (rw[:, None] * hs.r[None, :]).ravel()
-    return (2.0 / rw) * np.einsum("cqj,qp,cpj->c", C, -hs.D, C)
+    return cell_form(hs, renorm_products(hs.r, n), cell_boundary_values(hs, h, n))
 
 
 def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.ndarray:
     """Per-cell measure of the piecewise-harmonic interpolant of ``f``:
     ``(2 / r_w) * E0(f restricted to the cell)`` for every level cell."""
-    F = np.asarray(f, dtype=float)[lg.cells]
-    rw = renorm_products(hs.r, lg)
-    return (2.0 / rw) * np.einsum("cq,qp,cp->c", F, -hs.D, F)
+    return cell_form(hs, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float)[lg.cells])
 
 
 def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
@@ -123,7 +126,7 @@ def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
         raise ValueError(f"cell word of length {m} is deeper than level {lg.level}")
     k = hs.spec.letters
     e = cell_energies(hs, lg, f)
-    code = lg.cell_code(word)
+    code = encode_word(word, k)
     span = k ** (lg.level - m)
     return float(e[code * span:(code + 1) * span].sum())
 
@@ -150,19 +153,10 @@ class CellMeasureTable:
         return len(self.values) - 1
 
     def value(self, word: Word) -> float:
-        code = 0
-        for w in word:
-            code = code * self.spec_letters + w
-        return float(self.values[len(word)][code])
+        return float(self.values[len(word)][encode_word(word, self.spec_letters)])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("word,depth,value\n")
-        for m, vals in enumerate(self.values):
-            for code, val in enumerate(vals):
-                word = _decode_word(code, m, self.spec_letters)
-                out.write(f"{_word_to_str(word)},{m},{val:.17g}\n")
-        return out.getvalue()
+        return _depth_table_csv("value", self.values, self.spec_letters)
 
 
 @dataclass
@@ -191,50 +185,47 @@ class SlackTable:
         return self.min_slack >= -self.tolerance * self.scale
 
     def value(self, word: Word) -> float:
-        code = 0
-        for w in word:
-            code = code * self.spec_letters + w
-        return float(self.slack[len(word)][code])
+        return float(self.slack[len(word)][encode_word(word, self.spec_letters)])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("word,depth,slack\n")
-        for m, vals in enumerate(self.slack):
-            for code, val in enumerate(vals):
-                word = _decode_word(code, m, self.spec_letters)
-                out.write(f"{_word_to_str(word)},{m},{val:.17g}\n")
-        return out.getvalue()
+        return _depth_table_csv("slack", self.slack, self.spec_letters)
 
 
-def _decode_word(code: int, length: int, k: int) -> Word:
-    digits = []
-    for _ in range(length):
-        code, d = divmod(code, k)
-        digits.append(d)
-    return tuple(reversed(digits))
+def _depth_table_csv(column: str, per_depth: list[np.ndarray], k: int) -> str:
+    out = io.StringIO()
+    out.write(f"word,depth,{column}\n")
+    for m, vals in enumerate(per_depth):
+        for code, val in enumerate(vals):
+            out.write(f"{_word_to_str(decode_word(code, m, k))},{m},{val:.17g}\n")
+    return out.getvalue()
+
+
+def subtree_sums(deepest: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per-depth sums of per-cell values over the cell tree: entry ``m`` is
+    indexed by depth-``m`` cell code, the last entry is ``deepest`` itself."""
+    per_depth = [deepest]
+    while per_depth[-1].size > 1:
+        per_depth.append(per_depth[-1].reshape(-1, k).sum(axis=1))
+    per_depth.reverse()
+    return per_depth
 
 
 def cell_measure_table(hs: HarmonicStructure, h: HarmonicTuple, depth: int) -> CellMeasureTable:
     """Tabulate the tuple's cell measures for all words up to ``depth``."""
-    deepest = tuple_cell_measures(hs, h, depth)
     k = hs.spec.letters
-    values = [deepest]
-    cur = deepest
-    for m in range(depth - 1, -1, -1):
-        cur = cur.reshape(k ** m, k).sum(axis=1)
-        values.append(cur)
-    values.reverse()
-    return CellMeasureTable(k, values)
+    return CellMeasureTable(k, subtree_sums(tuple_cell_measures(hs, h, depth), k))
 
 
 def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
-                     h: HarmonicTuple, m_max: int | None = None, *,
+                     mu: np.ndarray, m_max: int | None = None, *,
                      tolerance: float = FEASIBILITY_RTOL) -> SlackTable:
     """Slack table of the cell-domination constraints for vertex values ``f``.
 
-    For every word with ``len(word) <= m_max`` the slack is the tuple's cell
-    measure minus the piecewise-harmonic interpolant's cell measure; the
-    deepest level is computed directly and coarser levels by subtree sums.
+    ``mu`` holds the tuple's measures of the level-``lg.level`` cells (see
+    :func:`tuple_cell_measures`).  For every word with ``len(word) <= m_max``
+    the slack is the tuple's cell measure minus the piecewise-harmonic
+    interpolant's cell measure; the deepest level is computed directly and
+    coarser levels by subtree sums.
     """
     n = lg.level
     if m_max is None:
@@ -242,14 +233,5 @@ def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
     if m_max > n:
         raise ValueError(f"m_max={m_max} exceeds the graph level {n}")
     k = hs.spec.letters
-    mu = tuple_cell_measures(hs, h, n)
-    e = cell_energies(hs, lg, f)
-    scale = float(mu.sum())
-    slack_deepest = mu - e
-    per_depth = {n: slack_deepest}
-    cur = slack_deepest
-    for m in range(n - 1, -1, -1):
-        cur = cur.reshape(k ** m, k).sum(axis=1)
-        per_depth[m] = cur
-    slack = [per_depth[m] for m in range(m_max + 1)]
-    return SlackTable(k, slack, scale, tolerance)
+    slack = subtree_sums(mu - cell_energies(hs, lg, f), k)[:m_max + 1]
+    return SlackTable(k, slack, float(mu.sum()), tolerance)

@@ -12,6 +12,7 @@ vertices is a certified intrinsic-distance lower bound at the checked depth.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import io
@@ -27,7 +28,7 @@ from .measures import (
     HarmonicTuple,
     SlackTable,
     cell_boundary_values,
-    cell_energies,
+    cell_form,
     check_domination,
     default_tuple,
     tuple_cell_measures,
@@ -39,7 +40,6 @@ from .structure import (
     VertexRef,
     _word_to_str,
     build_level,
-    lift,
 )
 
 MONOTONE_TOL = 1e-12
@@ -48,11 +48,18 @@ MONOTONE_TOL = 1e-12
 @dataclass
 class LevelData:
     """Cached per-level arrays: the vertex graph, each cell's tuple boundary
-    values, and the per-cell weight products."""
+    values, the per-cell weight products, and (built on first request) the
+    tuple's cell measures."""
 
+    hs: HarmonicStructure
     lg: LevelGraph
     cell_values: np.ndarray   # [ncells, q, N]
     rw: np.ndarray            # [ncells]
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
+        return cell_form(self.hs, self.rw, self.cell_values)
 
 
 class MetricContext:
@@ -77,8 +84,7 @@ class MetricContext:
         if data is None:
             lg = build_level(self.spec, n, max_addresses=self.max_addresses)
             C = cell_boundary_values(self.hs, self.h, n)
-            rw = renorm_products(self.hs.r, lg)
-            data = LevelData(lg, C, rw)
+            data = LevelData(self.hs, lg, C, renorm_products(self.hs.r, n))
             self._levels[n] = data
         return data
 
@@ -105,10 +111,7 @@ class MetricContext:
 
     def coord_of(self, ref: VertexRef) -> np.ndarray:
         """Embedding coordinates of a single point (no level tables needed)."""
-        vals = self.h.alphas.T.astype(float)
-        for letter in ref.word:
-            vals = self.hs.A[letter] @ vals
-        return vals[ref.label].copy()
+        return self.hs.values_on_cell(ref.word, self.h.alphas.T.astype(float))[ref.label].copy()
 
 
 def edge_arrays(ctx: MetricContext, n: int):
@@ -130,28 +133,17 @@ def edge_arrays(ctx: MetricContext, n: int):
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     """Symmetric CSR adjacency of the level-``n`` walk graph.
 
-    Built by a radix sort of the doubled edge list; intermediates are released
-    eagerly because the deepest levels run close to the memory budget.
+    The doubled edge list has no duplicate entries, so the COO to CSR
+    conversion sums nothing.  The edge arrays are released before it because
+    the deepest levels run close to the memory budget.
     """
-    data = ctx.level(n)
-    nv = data.lg.num_vertices
+    nv = ctx.level(n).lg.num_vertices
     u, v, w = edge_arrays(ctx, n)
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    wts = np.concatenate([w, w])
+    doubled = sp.coo_matrix((np.concatenate([w, w]),
+                             (np.concatenate([u, v]), np.concatenate([v, u]))),
+                            shape=(nv, nv))
     del u, v, w
-    deg = np.bincount(rows, minlength=nv)
-    indptr = np.empty(nv + 1, dtype=np.int64)
-    indptr[0] = 0
-    np.cumsum(deg, out=indptr[1:])
-    del deg
-    order = np.argsort(rows, kind="stable")
-    del rows
-    indices = cols[order].astype(np.int32, copy=False)
-    del cols
-    sorted_wts = wts[order]
-    del wts, order
-    return sp.csr_matrix((sorted_wts, indices, indptr), shape=(nv, nv))
+    return doubled.tocsr()
 
 
 def _single_source(graph: sp.csr_matrix, source: int, *, predecessors: bool = False):
@@ -323,7 +315,7 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
     data = ctx.level(n)
     phi = geodesic_profile(ctx, x, n, graph=graph)
     f = np.minimum(phi, cap)
-    slack = check_domination(ctx.hs, data.lg, f, ctx.h, m_max=n, tolerance=tolerance)
+    slack = check_domination(ctx.hs, data.lg, f, data.mu, m_max=n, tolerance=tolerance)
     x_id = ctx.vertex_id(x, n)
     y_id = ctx.vertex_id(y, n)
     return Certificate(n, float(cap), f, slack, float(f[y_id] - f[x_id]), x, y)
@@ -358,7 +350,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     cert = intrinsic_certificate(ctx, x, y, n)
     x_id = ctx.vertex_id(x, n)
     y_id = ctx.vertex_id(y, n)
-    mu = tuple_cell_measures(ctx.hs, ctx.h, n)
+    mu = data.mu
     scale = float(mu.sum())
 
     f = cert.values.astype(float).copy()
@@ -373,14 +365,8 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     obj_grad[y_id] = 1.0
     obj_grad[x_id] = -1.0
 
-    def energies(vec):
-        F = vec[cells]
-        return rw2 * np.einsum("cq,qp,cp->c", F, -D, F)
-
-    def bilinear(vec, dvec):
-        F = vec[cells]
-        G = dvec[cells]
-        return rw2 * np.einsum("cq,qp,cp->c", F, -D, G)
+    def energies(vec, dvec=None):
+        return cell_form(ctx.hs, data.rw, vec[cells], None if dvec is None else dvec[cells])
 
     eta = step
     iterations = 0
@@ -403,7 +389,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
             continue
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
         a = energies(d)
-        b = 2.0 * bilinear(f, d)
+        b = 2.0 * energies(f, d)
         room = slack
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = b * b + 4.0 * a * room
@@ -467,10 +453,12 @@ def _worker_init(graph, sources):
     _WORKER_SOURCES = sources
 
 
+def _source_rows(graph: sp.csr_matrix, sources: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    return _csgraph_dijkstra(graph, directed=True, indices=sources)[:, columns]
+
+
 def _worker_chunk(chunk: np.ndarray) -> np.ndarray:
-    dist = _csgraph_dijkstra(_WORKER_GRAPH, directed=True,
-                             indices=_WORKER_SOURCES[chunk])
-    return dist[:, _WORKER_SOURCES]
+    return _source_rows(_WORKER_GRAPH, _WORKER_SOURCES[chunk], _WORKER_SOURCES)
 
 
 def distance_matrix(ctx: MetricContext, source_level: int, n: int,
@@ -490,15 +478,10 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     if graph is None:
         graph = weighted_level_graph(ctx, n)
     if workers <= 1:
-        return _worker_chunk_serial(graph, sources)
+        return _source_rows(graph, sources, sources)
     chunks = [c for c in np.array_split(np.arange(len(sources)), workers) if len(c)]
     mp = multiprocessing.get_context("fork")
     with mp.Pool(processes=len(chunks), initializer=_worker_init,
                  initargs=(graph, sources)) as pool:
         parts = pool.map(_worker_chunk, chunks)
     return np.vstack(parts)
-
-
-def _worker_chunk_serial(graph, sources):
-    dist = _csgraph_dijkstra(graph, directed=True, indices=sources)
-    return dist[:, sources]

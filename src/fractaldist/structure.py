@@ -14,7 +14,7 @@ import cmath
 import math
 import string
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +36,47 @@ def _word_to_str(word: Word) -> str:
     if not word:
         return "-"
     return "".join(_DIGITS[w] for w in word)
+
+
+def encode_word(word: Word, k: int) -> int:
+    """Big-endian cell code of ``word`` over ``k`` letters."""
+    code = 0
+    for w in word:
+        code = code * k + w
+    return code
+
+
+def decode_word(code: int, length: int, k: int) -> Word:
+    """Letters of the length-``length`` word with big-endian cell code ``code``."""
+    digits = []
+    for _ in range(length):
+        code, d = divmod(code, k)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+class UnionFind:
+    """Disjoint sets over integer keys, stored only for keys ever united.
+
+    A union keeps the smaller root, so every class is represented by its
+    smallest member; level-graph vertex ids depend on this rule.
+    """
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        while self.parent.get(x, x) != x:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _word_from_str(text: str) -> Word:
@@ -108,30 +149,16 @@ class FractalSpec:
             if not (0 <= i < k and 0 <= j < k and 0 <= a < q and 0 <= b < q):
                 raise SpecValidationError(f"glue[{idx}]={(i, a, j, b)} out of range")
         # the level-1 cell contact graph must be one piece
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind()
         for i, _, j, _ in self.glue:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        roots = {find(i) for i in range(k)}
+            uf.union(i, j)
+        roots = {uf.find(i) for i in range(k)}
         if len(roots) != 1:
             raise SpecValidationError(
                 f"level-1 cell contact graph is disconnected ({len(roots)} components)")
 
     def fixed_letter(self, label: int) -> int:
         return self.fixed_letters[label]
-
-    @property
-    def boundary_cells(self) -> tuple[int, ...]:
-        """Cells that fix a boundary point, in boundary-label order."""
-        return self.fixed_letters
 
     def label_of_fixed_cell(self, letter: int) -> int:
         try:
@@ -378,20 +405,8 @@ class LevelGraph:
         return self._addr_words is not None
 
     def cell_word(self, code: int) -> Word:
-        """Decode a big-endian cell code into its letter sequence."""
-        k = self.spec.letters
-        digits = []
-        for _ in range(self.level):
-            code, d = divmod(code, k)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def cell_code(self, word: Word) -> int:
-        k = self.spec.letters
-        code = 0
-        for w in word:
-            code = code * k + w
-        return code
+        """Decode a big-endian cell code of this level into its letter sequence."""
+        return decode_word(code, self.level, self.spec.letters)
 
     def address(self, vertex_id: int) -> VertexRef:
         """Canonical (lexicographically smallest) address of a vertex."""
@@ -404,7 +419,7 @@ class LevelGraph:
         """Canonical id of a vertex given by any equivalent address."""
         lifted = lift(self.spec, ref, self.level)
         ids = self.vertex_ids(
-            np.array([self.cell_code(lifted.word)], dtype=np.int64),
+            np.array([encode_word(lifted.word, self.spec.letters)], dtype=np.int64),
             np.array([lifted.label], dtype=np.int64))
         return int(ids[0])
 
@@ -463,25 +478,11 @@ def build_level(spec: FractalSpec, n: int, *, with_addresses: bool | None = None
     labels = np.arange(q, dtype=np.int64) if with_addresses else None
 
     for m in range(1, n + 1):
-        # tiny union-find over only the candidates touched by glue rules
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
+        # union-find over only the candidates touched by glue rules
+        uf = UnionFind()
         for i, a, j, b in spec.glue:
-            ca = i * nv + boundary_ids[a]
-            cb = j * nv + boundary_ids[b]
-            ra, rb = find(ca), find(cb)
-            if ra != rb:
-                lo, hi = min(ra, rb), max(ra, rb)
-                parent[hi] = lo
-        pairs = sorted((x, find(x)) for x in parent if find(x) != x)
+            uf.union(i * nv + boundary_ids[a], j * nv + boundary_ids[b])
+        pairs = sorted((x, uf.find(x)) for x in uf.parent if uf.find(x) != x)
         nonroots = np.array([x for x, _ in pairs], dtype=np.int64)
         targets = np.array([t for _, t in pairs], dtype=np.int64)
         merge = _LevelMerge(nv_prev=nv, nonroots=nonroots, targets=targets)

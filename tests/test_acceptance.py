@@ -199,7 +199,7 @@ def test_criterion_05_lipschitz_and_certificates():
                 worst_lip = max(worst_lip, lip)
                 ok &= lip <= 1e-12
                 f = np.minimum(phi, default_cap(ctx))
-                slack = check_domination(hs, lg, f, ctx.h, m_max=n)
+                slack = check_domination(hs, lg, f, ctx.level(n).mu, m_max=n)
                 rel = slack.min_slack / slack.scale
                 worst_slack = min(worst_slack, rel)
                 ok &= slack.feasible

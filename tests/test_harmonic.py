@@ -20,6 +20,7 @@ from fractaldist.harmonic import (
     check_structure_conditions,
     default_boundary_matrix,
     extension_matrices,
+    _connected_without,
     harmonic_eval,
     renorm_products,
     separation_constant,
@@ -75,7 +76,7 @@ def test_level_zero_form_is_boundary_form(sg2_spec, sg2_hs):
 def test_constant_functions_have_zero_energy(sg2_spec, sg2_hs):
     for n in range(4):
         lg = build_level(sg2_spec, n)
-        M = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, lg), lg)
+        M = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, lg.level), lg)
         u = np.full(lg.num_vertices, 3.7)
         assert abs(u @ M @ u) < 1e-10
 
@@ -86,8 +87,8 @@ def test_restriction_energies_nondecreasing(sg2_spec, sg2_hs):
     for m in range(4):
         coarse = build_level(sg2_spec, m)
         fine = build_level(sg2_spec, m + 1)
-        Mc = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, coarse), coarse)
-        Mf = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, fine), fine)
+        Mc = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, m), coarse)
+        Mf = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, m + 1), fine)
         emb = coarse.embed_into(fine)
         for _ in range(6):
             u = rng.normal(size=fine.num_vertices)
@@ -260,7 +261,7 @@ _SG2_CACHE = [HarmonicStructure.build(generate_spec("gasket", 2), UNIT_TRIANGLE_
 
 def test_energy_identity_boundary_vs_extension(sg2_spec, sg2_hs):
     lg = build_level(sg2_spec, 1)
-    M = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, lg), lg)
+    M = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, lg.level), lg)
     _, extend = trace_form(M, np.array(lg.boundary_ids))
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -289,6 +290,14 @@ def test_four_point_boundary_fails_b1():
     rep = check_structure_conditions(hs)
     assert not rep["boundary_is_three_points"].passed
     assert not rep.ok
+
+
+def test_connected_without_detects_cut_point(sg2_spec):
+    # cell 2 hangs on boundary point 0 alone, so deleting that point cuts it off
+    cut = FractalSpec("cut", 3, 3, (0, 1, 2), ((0, 1, 1, 0), (0, 0, 2, 0)))
+    for spec, expected in [(cut, [False, True, True]), (sg2_spec, [True, True, True])]:
+        lg = build_level(spec, 3)
+        assert [_connected_without(lg, vid) for vid in lg.boundary_ids] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,16 @@ def test_geodesic_converge_rtol_stop(sg2_ctx):
     assert hist.entries[-1][0] < 9
 
 
+def test_geodesic_converge_evict_keeps_last_level(sg2_hs):
+    kept = MetricContext(sg2_hs)
+    evicting = MetricContext(sg2_hs)
+    hist = geodesic_converge(kept, CORNER[0], CORNER[1], 6)
+    hist_evict = geodesic_converge(evicting, CORNER[0], CORNER[1], 6, evict=True)
+    assert hist_evict.entries == hist.entries
+    assert sorted(kept._levels) == list(range(7))
+    assert list(evicting._levels) == [6]
+
+
 def test_quasi_metric_laws(sg2_ctx):
     dm = distance_matrix(sg2_ctx, 2, 5)
     assert np.max(np.abs(dm - dm.T)) <= 1e-12
