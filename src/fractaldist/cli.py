@@ -147,10 +147,12 @@ def _safe(ref: VertexRef) -> str:
     return str(ref).replace(":", "_")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, lines=()) -> None:
+    """Write ``text`` and then every string of ``lines`` to ``path``."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+        fh.writelines(lines)
 
 
 def _context(cfg: RunConfig) -> metrics.MetricContext:
@@ -213,15 +215,15 @@ def cmd_profile(args) -> int:
     x = VertexRef.parse(getattr(args, "from"))
     phi = metrics.geodesic_profile(ctx, x, args.level)
     lg = ctx.level(args.level).lg
-    rows = ["id,word,label,value"]
     if lg.has_addresses:
-        for vid in range(lg.num_vertices):
-            ref = lg.address(vid)
-            rows.append(f"{vid},{_word_to_str(ref.word)},{ref.label},{phi[vid]:.17g}")
+        header = "id,word,label,value\n"
+        rows = (f"{vid},{_word_to_str(ref.word)},{ref.label},{phi[vid]:.17g}\n"
+                for vid, ref in enumerate(map(lg.address, range(lg.num_vertices))))
     else:
-        rows = ["id,value"] + [f"{vid},{phi[vid]:.17g}" for vid in range(len(phi))]
+        header = "id,value\n"
+        rows = (f"{vid},{phi[vid]:.17g}\n" for vid in range(len(phi)))
     _write(os.path.join(cfg.out_dir, f"profile_{_safe(x)}_level{args.level}.csv"),
-           "\n".join(rows) + "\n")
+           header, rows)
     print(f"profile from {x} at level {args.level}: max {phi.max():.17g}")
     return EXIT_OK
 

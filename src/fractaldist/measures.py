@@ -217,21 +217,16 @@ def cell_measure_table(hs: HarmonicStructure, h: HarmonicTuple, depth: int) -> C
 
 
 def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
-                     mu: np.ndarray, m_max: int | None = None, *,
+                     mu: np.ndarray, *,
                      tolerance: float = FEASIBILITY_RTOL) -> SlackTable:
     """Slack table of the cell-domination constraints for vertex values ``f``.
 
     ``mu`` holds the tuple's measures of the level-``lg.level`` cells (see
-    :func:`tuple_cell_measures`).  For every word with ``len(word) <= m_max``
-    the slack is the tuple's cell measure minus the piecewise-harmonic
-    interpolant's cell measure; the deepest level is computed directly and
-    coarser levels by subtree sums.
+    :func:`tuple_cell_measures`).  For every word with ``len(word) <=
+    lg.level`` the slack is the tuple's cell measure minus the
+    piecewise-harmonic interpolant's cell measure; the deepest level is
+    computed directly and coarser levels by subtree sums.
     """
-    n = lg.level
-    if m_max is None:
-        m_max = n
-    if m_max > n:
-        raise ValueError(f"m_max={m_max} exceeds the graph level {n}")
     k = hs.spec.letters
-    slack = subtree_sums(mu - cell_energies(hs, lg, f), k)[:m_max + 1]
+    slack = subtree_sums(mu - cell_energies(hs, lg, f), k)
     return SlackTable(k, slack, float(mu.sum()), tolerance)

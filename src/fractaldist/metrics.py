@@ -34,7 +34,6 @@ from .measures import (
     tuple_cell_measures,
 )
 from .structure import (
-    DEFAULT_MAX_ADDRESSES,
     FractalSpec,
     LevelGraph,
     VertexRef,
@@ -48,13 +47,15 @@ MONOTONE_TOL = 1e-12
 @dataclass
 class LevelData:
     """Cached per-level arrays: the vertex graph, each cell's tuple boundary
-    values, the per-cell weight products, and (built on first request) the
-    tuple's cell measures."""
+    values, the per-cell weight products and, built on first request, the
+    tuple's cell measures and the weighted walk graph (see
+    :func:`weighted_level_graph`)."""
 
     hs: HarmonicStructure
     lg: LevelGraph
     cell_values: np.ndarray   # [ncells, q, N]
     rw: np.ndarray            # [ncells]
+    graph: sp.csr_matrix | None = None
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
@@ -64,15 +65,14 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations.  Reads are thread-safe once a
-    level is built; construction of a level is not."""
+    caches used by all distance computations.  A level, its cell measures and
+    its walk graph are each built lazily on first request.  Reads are
+    thread-safe once built; building is not."""
 
-    def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None, *,
-                 max_addresses: int = DEFAULT_MAX_ADDRESSES):
+    def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
         self.spec: FractalSpec = hs.spec
         self.h = h if h is not None else default_tuple(hs)
-        self.max_addresses = max_addresses
         self._levels: dict[int, LevelData] = {}
 
     @property
@@ -82,14 +82,15 @@ class MetricContext:
     def level(self, n: int) -> LevelData:
         data = self._levels.get(n)
         if data is None:
-            lg = build_level(self.spec, n, max_addresses=self.max_addresses)
+            lg = build_level(self.spec, n)
             C = cell_boundary_values(self.hs, self.h, n)
             data = LevelData(self.hs, lg, C, renorm_products(self.hs.r, n))
             self._levels[n] = data
         return data
 
     def evict(self, n: int | None = None) -> None:
-        """Drop cached level data (all levels when ``n`` is None)."""
+        """Drop cached level data, graphs included (all levels when ``n`` is
+        None)."""
         if n is None:
             self._levels.clear()
         else:
@@ -133,17 +134,22 @@ def edge_arrays(ctx: MetricContext, n: int):
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     """Symmetric CSR adjacency of the level-``n`` walk graph.
 
-    The doubled edge list has no duplicate entries, so the COO to CSR
-    conversion sums nothing.  The edge arrays are released before it because
-    the deepest levels run close to the memory budget.
+    Built on the first request for the level and kept on its
+    :class:`LevelData` until ``ctx.evict(n)``; like the level itself, building
+    it is not thread-safe.  The doubled edge list has no duplicate entries, so
+    the COO to CSR conversion sums nothing.  The edge arrays are released
+    before it because the deepest levels run close to the memory budget.
     """
-    nv = ctx.level(n).lg.num_vertices
-    u, v, w = edge_arrays(ctx, n)
-    doubled = sp.coo_matrix((np.concatenate([w, w]),
-                             (np.concatenate([u, v]), np.concatenate([v, u]))),
-                            shape=(nv, nv))
-    del u, v, w
-    return doubled.tocsr()
+    data = ctx.level(n)
+    if data.graph is None:
+        nv = data.lg.num_vertices
+        u, v, w = edge_arrays(ctx, n)
+        doubled = sp.coo_matrix((np.concatenate([w, w]),
+                                 (np.concatenate([u, v]), np.concatenate([v, u]))),
+                                shape=(nv, nv))
+        del u, v, w
+        data.graph = doubled.tocsr()
+    return data.graph
 
 
 def _single_source(graph: sp.csr_matrix, source: int, *, predecessors: bool = False):
@@ -161,20 +167,16 @@ class GeodesicResult:
     level: int
 
 
-def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int,
-                     graph: sp.csr_matrix | None = None) -> np.ndarray:
+def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` on the level-``n`` graph."""
-    if graph is None:
-        graph = weighted_level_graph(ctx, n)
+    graph = weighted_level_graph(ctx, n)
     src = ctx.vertex_id(x, n)
     return np.asarray(_single_source(graph, src))
 
 
-def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
-                      graph: sp.csr_matrix | None = None) -> GeodesicResult:
+def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) -> GeodesicResult:
     """Exact shortest walk between ``x`` and ``y`` at level ``n``."""
-    if graph is None:
-        graph = weighted_level_graph(ctx, n)
+    graph = weighted_level_graph(ctx, n)
     src = ctx.vertex_id(x, n)
     dst = ctx.vertex_id(y, n)
     dist, pred = _single_source(graph, src, predecessors=True)
@@ -198,10 +200,6 @@ class ConvergenceHistory:
     monotone: bool
     extrapolated: float | None = None
 
-    @property
-    def relative_gap(self) -> float:
-        return self.last_gap / self.estimate if self.estimate else 0.0
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("level,value\n")
@@ -223,15 +221,12 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     entries: list[tuple[int, float]] = []
     monotone = True
     for n in range(n0, n_max + 1):
-        graph = weighted_level_graph(ctx, n)
-        src = ctx.vertex_id(x, n)
-        dst = ctx.vertex_id(y, n)
-        value = float(np.asarray(_single_source(graph, src))[dst])
+        if evict:
+            ctx.evict(n - 1)
+        value = float(geodesic_profile(ctx, x, n)[ctx.vertex_id(y, n)])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
             monotone = False
         entries.append((n, value))
-        if evict:
-            ctx.evict(n - 1)
         if len(entries) >= 2:
             gap = entries[-1][1] - entries[-2][1]
             if entries[-1][1] > 0 and gap / entries[-1][1] < rtol:
@@ -301,7 +296,6 @@ class Certificate:
 
 def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
                           cap: float | None = None, *,
-                          graph: sp.csr_matrix | None = None,
                           tolerance: float = 1e-9) -> Certificate:
     """Build the capped profile ``min(distance-from-x, cap)`` on level ``n``
     and check cell domination at every depth up to ``n``.
@@ -313,9 +307,9 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     data = ctx.level(n)
-    phi = geodesic_profile(ctx, x, n, graph=graph)
+    phi = geodesic_profile(ctx, x, n)
     f = np.minimum(phi, cap)
-    slack = check_domination(ctx.hs, data.lg, f, data.mu, m_max=n, tolerance=tolerance)
+    slack = check_domination(ctx.hs, data.lg, f, data.mu, tolerance=tolerance)
     x_id = ctx.vertex_id(x, n)
     y_id = ctx.vertex_id(y, n)
     return Certificate(n, float(cap), f, slack, float(f[y_id] - f[x_id]), x, y)
@@ -462,8 +456,7 @@ def _worker_chunk(chunk: np.ndarray) -> np.ndarray:
 
 
 def distance_matrix(ctx: MetricContext, source_level: int, n: int,
-                    workers: int = 1, *,
-                    graph: sp.csr_matrix | None = None) -> np.ndarray:
+                    workers: int = 1) -> np.ndarray:
     """All-pairs shortest-walk matrix between the level-``source_level``
     vertices, measured on the level-``n`` graph.
 
@@ -475,8 +468,7 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
         raise ValueError("graph level must be at least the source level")
     src_lg = build_level(ctx.spec, source_level)
     sources = np.asarray(src_lg.embed_into(ctx.level(n).lg), dtype=np.int64)
-    if graph is None:
-        graph = weighted_level_graph(ctx, n)
+    graph = weighted_level_graph(ctx, n)
     if workers <= 1:
         return _source_rows(graph, sources, sources)
     chunks = [c for c in np.array_split(np.arange(len(sources)), workers) if len(c)]

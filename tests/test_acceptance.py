@@ -144,15 +144,14 @@ def _triple_laws(ctx, source_level, graph_level, seed):
 def _monotone_corner_walks(ctx, n_max):
     values = {pair: [] for pair in [(0, 1), (0, 2), (1, 2)]}
     for n in range(1, n_max + 1):
-        graph = weighted_level_graph(ctx, n)
-        lg = ctx.level(n).lg
-        b = lg.boundary_ids
-        dist = csgraph_dijkstra(graph, directed=True, indices=[b[0], b[1]])
-        values[(0, 1)].append(dist[0, b[1]])
-        values[(0, 2)].append(dist[0, b[2]])
-        values[(1, 2)].append(dist[1, b[2]])
-        del graph, dist
         ctx.evict(n - 1)
+        b = ctx.level(n).lg.boundary_ids
+        # keep only the corner columns, so no full row outlives the level
+        dist = csgraph_dijkstra(weighted_level_graph(ctx, n), directed=True,
+                                indices=[b[0], b[1]])[:, b]
+        values[(0, 1)].append(dist[0, 1])
+        values[(0, 2)].append(dist[0, 2])
+        values[(1, 2)].append(dist[1, 2])
     ctx.evict()
     worst_gap = min(float(np.diff(v).min()) for v in values.values())
     return worst_gap
@@ -190,16 +189,15 @@ def test_criterion_05_lipschitz_and_certificates():
                                      else default_boundary_matrix(3))
         ctx = MetricContext(hs, default_tuple(hs))
         for n in range(1, n_max + 1):
-            graph = weighted_level_graph(ctx, n)
             u, v, w = edge_arrays(ctx, n)
             lg = ctx.level(n).lg
             for x in CORNERS:
-                phi = geodesic_profile(ctx, x, n, graph=graph)
+                phi = geodesic_profile(ctx, x, n)
                 lip = float(np.max(np.abs(phi[u] - phi[v]) - w))
                 worst_lip = max(worst_lip, lip)
                 ok &= lip <= 1e-12
                 f = np.minimum(phi, default_cap(ctx))
-                slack = check_domination(hs, lg, f, ctx.level(n).mu, m_max=n)
+                slack = check_domination(hs, lg, f, ctx.level(n).mu)
                 rel = slack.min_slack / slack.scale
                 worst_slack = min(worst_slack, rel)
                 ok &= slack.feasible
@@ -301,12 +299,12 @@ def _timed_distance_matrices(hs):
     """``distance_matrix(3 -> 10)`` once serial and once with 4 workers, on the
     same prebuilt level-10 graph; returns both matrices and both wall times."""
     ctx = MetricContext(hs, default_tuple(hs))
-    graph = weighted_level_graph(ctx, 10)
+    weighted_level_graph(ctx, 10)
     t0 = time.perf_counter()
-    serial = distance_matrix(ctx, 3, 10, workers=1, graph=graph)
+    serial = distance_matrix(ctx, 3, 10, workers=1)
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = distance_matrix(ctx, 3, 10, workers=4, graph=graph)
+    parallel = distance_matrix(ctx, 3, 10, workers=4)
     t_parallel = time.perf_counter() - t0
     return serial, parallel, t_serial, t_parallel
 

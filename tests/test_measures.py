@@ -163,7 +163,7 @@ def test_domination_equality_case(sg2_ctx):
     lg = sg2_ctx.level(n).lg
     h1 = HarmonicTuple(sg2_ctx.h.alphas[:1])
     f = sg2_ctx.coords(n)[:, 0]
-    table = check_domination(hs, lg, f, tuple_cell_measures(hs, h1, n), m_max=n)
+    table = check_domination(hs, lg, f, tuple_cell_measures(hs, h1, n))
     assert table.feasible
     assert abs(table.min_slack) <= 1e-12 * table.scale
     assert table.checked_depth == n
@@ -175,7 +175,7 @@ def test_domination_quadratic_scaling_infeasible(sg2_ctx):
     lg = sg2_ctx.level(n).lg
     h1 = HarmonicTuple(sg2_ctx.h.alphas[:1])
     f = 2.0 * sg2_ctx.coords(n)[:, 0]
-    table = check_domination(hs, lg, f, tuple_cell_measures(hs, h1, n), m_max=n)
+    table = check_domination(hs, lg, f, tuple_cell_measures(hs, h1, n))
     assert not table.feasible
     # doubling f quadruples every cell measure: slack = -3 * measure everywhere
     deepest = tuple_cell_measures(hs, h1, n)
@@ -186,7 +186,7 @@ def test_domination_quadratic_scaling_infeasible(sg2_ctx):
 def test_slack_csv_headers(sg2_ctx):
     lg = sg2_ctx.level(1).lg
     f = np.zeros(lg.num_vertices)
-    table = check_domination(sg2_ctx.hs, lg, f, sg2_ctx.level(1).mu, m_max=1)
+    table = check_domination(sg2_ctx.hs, lg, f, sg2_ctx.level(1).mu)
     text = table.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "word,depth,slack"

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fractaldist import metrics
 from fractaldist.errors import FractalDistError
 from fractaldist.measures import HarmonicTuple
 from fractaldist.metrics import (
@@ -106,10 +107,9 @@ def test_discrete_geodesic_basics(sg2_ctx):
 
 def test_profile_source_zero_and_lipschitz(sg2_ctx):
     for n in range(1, 7):
-        graph = weighted_level_graph(sg2_ctx, n)
         u, v, w = edge_arrays(sg2_ctx, n)
         for x in CORNER:
-            phi = geodesic_profile(sg2_ctx, x, n, graph=graph)
+            phi = geodesic_profile(sg2_ctx, x, n)
             assert phi[sg2_ctx.vertex_id(x, n)] == 0.0
             viol = np.max(np.abs(phi[u] - phi[v]) - w)
             assert viol <= 1e-12
@@ -151,14 +151,51 @@ def test_geodesic_converge_rtol_stop(sg2_ctx):
     assert hist.entries[-1][0] < 9
 
 
-def test_geodesic_converge_evict_keeps_last_level(sg2_hs):
+def test_geodesic_converge_evict_keeps_last_level(sg2_hs, monkeypatch):
     kept = MetricContext(sg2_hs)
     evicting = MetricContext(sg2_hs)
     hist = geodesic_converge(kept, CORNER[0], CORNER[1], 6)
+    held_at_build = []
+    build_level = metrics.build_level
+
+    def recording_build_level(spec, n, **kwargs):
+        held_at_build.append(sorted(evicting._levels))
+        return build_level(spec, n, **kwargs)
+
+    monkeypatch.setattr(metrics, "build_level", recording_build_level)
     hist_evict = geodesic_converge(evicting, CORNER[0], CORNER[1], 6, evict=True)
     assert hist_evict.entries == hist.entries
     assert sorted(kept._levels) == list(range(7))
     assert list(evicting._levels) == [6]
+    # each level is built with no other level held, so at most one is alive
+    assert held_at_build == [[]] * 7
+
+
+def test_level_graph_cached_until_evicted(sg2_hs):
+    ctx = MetricContext(sg2_hs)
+    graph = weighted_level_graph(ctx, 3)
+    assert weighted_level_graph(ctx, 3) is graph
+    assert ctx.level(3).graph is graph
+    ctx.evict(3)
+    rebuilt = weighted_level_graph(ctx, 3)
+    assert rebuilt is not graph
+    assert (rebuilt != graph).nnz == 0
+
+
+def test_geodesic_converge_builds_each_graph_once(sg2_hs, monkeypatch):
+    ctx = MetricContext(sg2_hs)
+    calls = []
+    edges = metrics.edge_arrays
+
+    def counting_edge_arrays(ctx, n):
+        calls.append(n)
+        return edges(ctx, n)
+
+    monkeypatch.setattr(metrics, "edge_arrays", counting_edge_arrays)
+    for a, b in itertools.combinations(range(3), 2):
+        hist = geodesic_converge(ctx, CORNER[a], CORNER[b], 5)
+        assert [n for n, _ in hist.entries] == list(range(6))
+    assert sorted(calls) == list(range(6))
 
 
 def test_quasi_metric_laws(sg2_ctx):
