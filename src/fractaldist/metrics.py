@@ -39,6 +39,7 @@ from .structure import (
     VertexRef,
     _word_to_str,
     build_level,
+    level_address_count,
 )
 
 MONOTONE_TOL = 1e-12
@@ -115,20 +116,38 @@ class MetricContext:
         return self.hs.values_on_cell(ref.word, self.h.alphas.T.astype(float))[ref.label].copy()
 
 
+def _corner_lengths(cell_values: np.ndarray) -> list[np.ndarray]:
+    """Embedded Euclidean length between corners ``a < b`` of every cell.
+
+    ``cell_values`` is ``[cells, q, N]``; the result holds one ``[cells]``
+    array per corner pair, in ``np.triu_indices(q, 1)`` order.
+    """
+    lengths = []
+    for a, b in zip(*np.triu_indices(cell_values.shape[1], 1)):
+        diff = cell_values[:, a, :] - cell_values[:, b, :]
+        lengths.append(np.sqrt((diff * diff).sum(axis=1)))
+    return lengths
+
+
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
     per unordered corner pair per cell, weights = embedded Euclidean lengths."""
     data = ctx.level(n)
     cells = data.lg.cells
-    q = cells.shape[1]
-    us, vs, ws = [], [], []
-    for a in range(q):
-        for b in range(a + 1, q):
-            us.append(cells[:, a])
-            vs.append(cells[:, b])
-            diff = data.cell_values[:, a, :] - data.cell_values[:, b, :]
-            ws.append(np.sqrt((diff * diff).sum(axis=1)))
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    a, b = np.triu_indices(cells.shape[1], 1)
+    w = _corner_lengths(data.cell_values)
+    return (np.concatenate([cells[:, i] for i in a]),
+            np.concatenate([cells[:, j] for j in b]), np.concatenate(w))
+
+
+def _doubled_coo(u: np.ndarray, v: np.ndarray, w: np.ndarray, nv: int) -> sp.coo_matrix:
+    """COO adjacency holding every edge ``(u, v, w)`` in both directions.
+
+    The edges must be distinct: the conversion to CSR sums duplicates.
+    """
+    return sp.coo_matrix((np.concatenate([w, w]),
+                          (np.concatenate([u, v]), np.concatenate([v, u]))),
+                         shape=(nv, nv))
 
 
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
@@ -142,11 +161,8 @@ def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     """
     data = ctx.level(n)
     if data.graph is None:
-        nv = data.lg.num_vertices
         u, v, w = edge_arrays(ctx, n)
-        doubled = sp.coo_matrix((np.concatenate([w, w]),
-                                 (np.concatenate([u, v]), np.concatenate([v, u]))),
-                                shape=(nv, nv))
+        doubled = _doubled_coo(u, v, w, data.lg.num_vertices)
         del u, v, w
         data.graph = doubled.tocsr()
     return data.graph
@@ -437,28 +453,94 @@ def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
 # multi-source distance matrices
 # ---------------------------------------------------------------------------
 
+# parents closed at once by _reduce_cells: bounds its [nv1, nv1, parents]
+# work array to 2**24 entries (128 MiB) on the many-cell patterns
+_REDUCE_BLOCK_ENTRIES = 1 << 24
+
+
+def _reduce_cells(W: np.ndarray, pattern: LevelGraph) -> np.ndarray:
+    """One step up the cell tree in the (min, +) semiring.
+
+    ``W[p, c]`` is the shortest walk inside child cell ``c`` between the
+    corners of pair ``p`` (pairs ``a < b`` in ``np.triu_indices(q, 1)``
+    order, cells in big-endian code order, so the ``k`` children of a parent
+    are contiguous).  Each parent is a copy of the level-1 ``pattern`` with
+    every child's weights on its corners (the smaller one where two children
+    join the same corners); Floyd-Warshall over all pattern nodes closes it,
+    corners included, since a route between two parent corners may pass
+    through a third.  Returns the same ``[pairs, P]`` table for the parents.
+    """
+    k, q = pattern.spec.letters, pattern.spec.boundary
+    nv1 = pattern.num_vertices
+    a, b = np.triu_indices(q, 1)
+    bnd = np.asarray(pattern.boundary_ids)
+    children = W.reshape(len(a), -1, k)
+    P = children.shape[1]
+    out = np.empty((len(a), P))
+    block = max(1, _REDUCE_BLOCK_ENTRIES // (nv1 * nv1))
+    for s in range(0, P, block):
+        part = children[:, s:s + block]
+        # the diagonal is left infinite: a route through it is never shorter,
+        # and no result reads it
+        G = np.full((nv1, nv1, part.shape[1]), np.inf)
+        for i, corners in enumerate(pattern.cells):
+            u, v = corners[a], corners[b]
+            G[u, v] = G[v, u] = np.minimum(G[u, v], part[..., i])
+        for p in range(nv1):
+            np.minimum(G, G[:, p, None] + G[None, p], out=G)
+        out[:, s:s + block] = G[bnd[a], bnd[b]]
+    return out
+
+
+def _skeleton_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
+    """Walk graph on the vertices of ``lg`` with edge weight ``W[p, c]``
+    between the corners of pair ``p`` of each cell ``c`` (as in
+    :func:`_reduce_cells`); where cells share a corner pair the shorter
+    weight is kept."""
+    nv = lg.num_vertices
+    a, b = np.triu_indices(lg.cells.shape[1], 1)
+    u, v = lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    key = lo * nv + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    w = np.minimum.reduceat(W.ravel()[order], first)
+    return _doubled_coo(lo[order][first], hi[order][first], w, nv).tocsr()
+
+
 _WORKER_GRAPH: sp.csr_matrix | None = None
-_WORKER_SOURCES: np.ndarray | None = None
 
 
-def _worker_init(graph, sources):
-    global _WORKER_GRAPH, _WORKER_SOURCES
+def _worker_init(graph):
+    global _WORKER_GRAPH
     _WORKER_GRAPH = graph
-    _WORKER_SOURCES = sources
 
 
-def _source_rows(graph: sp.csr_matrix, sources: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    return _csgraph_dijkstra(graph, directed=True, indices=sources)[:, columns]
+def _source_rows(graph: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
+    return _csgraph_dijkstra(graph, directed=True, indices=sources)
 
 
 def _worker_chunk(chunk: np.ndarray) -> np.ndarray:
-    return _source_rows(_WORKER_GRAPH, _WORKER_SOURCES[chunk], _WORKER_SOURCES)
+    return _source_rows(_WORKER_GRAPH, chunk)
 
 
 def distance_matrix(ctx: MetricContext, source_level: int, n: int,
                     workers: int = 1) -> np.ndarray:
     """All-pairs shortest-walk matrix between the level-``source_level``
-    vertices, measured on the level-``n`` graph.
+    vertices, measured on the level-``n`` graph; rows and columns follow the
+    source-level vertex ids.
+
+    The entries are level-``n`` shortest-walk lengths, but the level-``n``
+    graph is never built and no Dijkstra runs on it.  A walk enters
+    and leaves a cell only through its corners, so the walk graph between the
+    level-``m`` vertices is a skeleton with one weight per corner pair of each
+    level-``m`` cell: the shortest walk between those corners inside the
+    cell.  Those weights start as the embedded corner-to-corner lengths of the
+    level-``n`` cells and are reduced ``n - source_level`` times up the cell
+    tree through the level-1 glue pattern (a (min, +) Schur complement, see
+    :func:`_reduce_cells`); Dijkstra then runs on the source-level skeleton.
 
     With ``workers > 1`` the sources are split into contiguous chunks handled
     by forked worker processes; each source's run is independent, so the
@@ -466,14 +548,20 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     """
     if n < source_level:
         raise ValueError("graph level must be at least the source level")
+    level_address_count(ctx.spec, n)
     src_lg = build_level(ctx.spec, source_level)
-    sources = np.asarray(src_lg.embed_into(ctx.level(n).lg), dtype=np.int64)
-    graph = weighted_level_graph(ctx, n)
+    W = np.stack(_corner_lengths(cell_boundary_values(ctx.hs, ctx.h, n)))
+    if n > source_level:
+        pattern = build_level(ctx.spec, 1)
+        for _ in range(n - source_level):
+            W = _reduce_cells(W, pattern)
+    graph = _skeleton_graph(src_lg, W)
+    sources = np.arange(src_lg.num_vertices)
     if workers <= 1:
-        return _source_rows(graph, sources, sources)
-    chunks = [c for c in np.array_split(np.arange(len(sources)), workers) if len(c)]
+        return _source_rows(graph, sources)
+    chunks = [c for c in np.array_split(sources, workers) if len(c)]
     mp = multiprocessing.get_context("fork")
     with mp.Pool(processes=len(chunks), initializer=_worker_init,
-                 initargs=(graph, sources)) as pool:
+                 initargs=(graph,)) as pool:
         parts = pool.map(_worker_chunk, chunks)
     return np.vstack(parts)

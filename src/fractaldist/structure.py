@@ -226,7 +226,10 @@ def _gasket_spec(side: int) -> FractalSpec:
     fixed = []
     for pt in corners:
         owner = [(i, cell.index(pt)) for i, cell in enumerate(cells) if pt in cell]
-        assert len(owner) == 1 and owner[0][1] == corners.index(pt)
+        if len(owner) != 1 or owner[0][1] != corners.index(pt):
+            raise InvalidParameterError(
+                f"gasket:{side} corner {pt} is not corner {corners.index(pt)} "
+                f"of exactly one cell (owners {owner})")
         fixed.append(owner[0][0])
     by_point: dict[tuple, list[tuple[int, int]]] = {}
     for i, cell in enumerate(cells):
@@ -283,7 +286,10 @@ def _polygasket_spec(n: int) -> FractalSpec:
             f"polygasket:{n} contact detection produced {len(rules)} rules, expected {n}")
     for a in range(3):
         z = apply_map(boundary_cells[a], corners[a])
-        assert abs(z - corners[a]) < 1e-12
+        if abs(z - corners[a]) >= 1e-12:
+            raise InvalidParameterError(
+                f"polygasket:{n} cell {boundary_cells[a]} does not fix boundary "
+                f"point {a} (off by {abs(z - corners[a]):.3g})")
     return FractalSpec(f"polygasket:{n}", n, 3, boundary_cells, _normalize_glue(rules))
 
 
@@ -452,6 +458,23 @@ class LevelGraph:
         return finer.vertex_ids(codes, labels)
 
 
+def level_address_count(spec: FractalSpec, n: int,
+                        max_addresses: int = DEFAULT_MAX_ADDRESSES) -> int:
+    """Number ``q * k**n`` of ``(cell, corner)`` addresses at level ``n``.
+
+    Checked before anything of the level is allocated: a negative level
+    raises ``ValueError`` and a count above ``max_addresses`` raises
+    :class:`ResourceLimitError`.
+    """
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
+    total = spec.boundary * spec.letters ** n
+    if total > max_addresses:
+        raise ResourceLimitError(
+            f"level {n} needs {total} addresses (limit {max_addresses})", total)
+    return total
+
+
 def build_level(spec: FractalSpec, n: int, *, with_addresses: bool | None = None,
                 max_addresses: int = DEFAULT_MAX_ADDRESSES) -> LevelGraph:
     """Vertex hierarchy of ``spec`` at level ``n``.
@@ -460,13 +483,8 @@ def build_level(spec: FractalSpec, n: int, *, with_addresses: bool | None = None
     inside every coarser cell.  Ids are deterministic: classes are ordered by
     their smallest candidate index at each refinement step.
     """
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
+    total = level_address_count(spec, n, max_addresses)
     k, q = spec.letters, spec.boundary
-    total = q * k ** n if n else q
-    if total > max_addresses:
-        raise ResourceLimitError(
-            f"level {n} needs {total} addresses (limit {max_addresses})", total)
     if with_addresses is None:
         with_addresses = total <= 20_000_000
 

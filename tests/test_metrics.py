@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from fractaldist import metrics
-from fractaldist.errors import FractalDistError
+from fractaldist.errors import FractalDistError, ResourceLimitError
 from fractaldist.measures import HarmonicTuple
 from fractaldist.metrics import (
     MetricContext,
@@ -22,7 +23,7 @@ from fractaldist.metrics import (
     intrinsic_estimate,
     weighted_level_graph,
 )
-from fractaldist.structure import VertexRef
+from fractaldist.structure import VertexRef, build_level
 
 from conftest import UNIT_TRIANGLE_D
 
@@ -219,6 +220,48 @@ def test_distance_matrix_parallel_identical(sg2_ctx):
     serial = distance_matrix(sg2_ctx, 1, 4, workers=1)
     parallel = distance_matrix(sg2_ctx, 1, 4, workers=2)
     assert np.array_equal(serial, parallel)
+
+
+ORACLE_TUPLE = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
+
+
+@pytest.mark.parametrize("hs_fixture, alphas, m, n", [
+    ("sg2_hs", None, 0, 5),
+    ("sg2_hs", None, 2, 6),
+    ("sg2_hs", None, 3, 3),
+    ("sg3_hs", None, 1, 4),
+    ("hexa_hs", None, 1, 4),
+    ("nona_hs", None, 1, 3),
+    ("sg2_hs", ORACLE_TUPLE, 2, 6),
+])
+def test_distance_matrix_matches_level_dijkstra(request, hs_fixture, alphas, m, n):
+    hs = request.getfixturevalue(hs_fixture)
+    ctx = MetricContext(hs, None if alphas is None else HarmonicTuple(alphas))
+    dm = distance_matrix(ctx, m, n)
+    src = build_level(hs.spec, m).embed_into(ctx.level(n).lg)
+    oracle = csgraph_dijkstra(weighted_level_graph(ctx, n), directed=True,
+                              indices=src)[:, src]
+    assert np.all(np.diag(dm) == 0.0)
+    assert np.all(np.abs(dm - oracle) <= 1e-12 * oracle)
+
+
+def test_distance_matrix_blocked_reduction_identical(sg2_ctx, monkeypatch):
+    whole = distance_matrix(sg2_ctx, 1, 6)
+    # five parents per block: the steps over 243, 81, 27 and 9 parents run in
+    # several blocks
+    monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 5 * 6 * 6)
+    assert np.array_equal(distance_matrix(sg2_ctx, 1, 6), whole)
+
+
+def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("level data allocated before the size check")
+
+    monkeypatch.setattr(metrics, "build_level", not_reached)
+    monkeypatch.setattr(metrics, "cell_boundary_values", not_reached)
+    with pytest.raises(ResourceLimitError) as err:
+        distance_matrix(sg2_ctx, 0, 20)
+    assert err.value.attempted_size == 3 * 3 ** 20
 
 
 def test_certificate_zero_cap(sg2_ctx):
