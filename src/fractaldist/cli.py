@@ -206,6 +206,10 @@ def cmd_geodesic(args) -> int:
     print(f"estimate {hist.estimate:.17g} (last gap {hist.last_gap:.3e}, "
           f"levels {hist.entries[0][0]}..{hist.entries[-1][0]}, "
           f"converged={str(hist.converged).lower()})")
+    if hist.stop_reason is not None:
+        print(f"error: stopped after level {hist.entries[-1][0]}: {hist.stop_reason}",
+              file=sys.stderr)
+        return EXIT_FAILED_CHECK
     return EXIT_OK
 
 

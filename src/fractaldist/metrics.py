@@ -4,10 +4,20 @@ certificates.
 Vertices of the level-``n`` graph are joined inside every cell; the edge
 weight is the Euclidean distance of the endpoints' coordinates under the
 harmonic tuple.  Shortest walk lengths are nondecreasing in ``n`` and their
-limit is the geodesic distance through the embedding.  A *certificate* is the
-capped single-source distance profile: its interpolant's energy measure is
-dominated cell-by-cell by the tuple's measure, so its increment between two
-vertices is a certified intrinsic-distance lower bound at the checked depth.
+limit is the geodesic distance through the embedding.
+
+Walk lengths between fixed references (:func:`geodesic_converge`,
+:func:`distance_matrix`) never build the level-``n`` graph: a walk crosses a
+cell only through its corners, so the corner-to-corner lengths of the
+level-``n`` cells are reduced up the cell tree in the (min, +) semiring by a
+schedule fixed per spec (:func:`reduction_schedule`), and Dijkstra runs on
+the small graph of the references' own level.  Profiles and certificates,
+which need every vertex, run Dijkstra on the full level graph.
+
+A *certificate* is the capped single-source distance profile: its
+interpolant's energy measure is dominated cell-by-cell by the tuple's
+measure, so its increment between two vertices is a certified
+intrinsic-distance lower bound at the checked depth.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .errors import FractalDistError
+from .errors import FractalDistError, ResourceLimitError
 from .harmonic import HarmonicStructure, renorm_products
 from .measures import (
     HarmonicTuple,
@@ -47,16 +57,23 @@ MONOTONE_TOL = 1e-12
 
 @dataclass
 class LevelData:
-    """Cached per-level arrays: the vertex graph, each cell's tuple boundary
-    values, the per-cell weight products and, built on first request, the
-    tuple's cell measures and the weighted walk graph (see
-    :func:`weighted_level_graph`)."""
+    """Cached per-level arrays: each cell's tuple boundary values and the
+    per-cell weight products, and, built on first request, the vertex graph,
+    the tuple's cell measures, the weighted walk graph (see
+    :func:`weighted_level_graph`) and the reduced corner walks (see
+    :func:`corner_walks`)."""
 
     hs: HarmonicStructure
-    lg: LevelGraph
+    level: int
     cell_values: np.ndarray   # [ncells, q, N]
     rw: np.ndarray            # [ncells]
     graph: sp.csr_matrix | None = None
+    walks: list[np.ndarray] | None = None
+
+    @functools.cached_property
+    def lg(self) -> LevelGraph:
+        """Vertex graph of the level, as :func:`build_level`."""
+        return build_level(self.hs.spec, self.level)
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
@@ -66,9 +83,10 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations.  A level, its cell measures and
-    its walk graph are each built lazily on first request.  Reads are
-    thread-safe once built; building is not."""
+    caches used by all distance computations.  A level's cell values are
+    computed on first request; its vertex graph, cell measures, walk graph
+    and corner walks are each built lazily on top.  Reads are thread-safe
+    once built; building is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
@@ -80,12 +98,17 @@ class MetricContext:
     def n_components(self) -> int:
         return self.h.n_components
 
+    @functools.cached_property
+    def schedule(self) -> ReductionSchedule:
+        """Min-plus elimination schedule of the spec's level-1 pattern."""
+        return reduction_schedule(build_level(self.spec, 1))
+
     def level(self, n: int) -> LevelData:
         data = self._levels.get(n)
         if data is None:
-            lg = build_level(self.spec, n)
+            level_address_count(self.spec, n)
             C = cell_boundary_values(self.hs, self.h, n)
-            data = LevelData(self.hs, lg, C, renorm_products(self.hs.r, n))
+            data = LevelData(self.hs, n, C, renorm_products(self.hs.r, n))
             self._levels[n] = data
         return data
 
@@ -116,17 +139,21 @@ class MetricContext:
         return self.hs.values_on_cell(ref.word, self.h.alphas.T.astype(float))[ref.label].copy()
 
 
-def _corner_lengths(cell_values: np.ndarray) -> list[np.ndarray]:
+def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
     """Embedded Euclidean length between corners ``a < b`` of every cell.
 
-    ``cell_values`` is ``[cells, q, N]``; the result holds one ``[cells]``
-    array per corner pair, in ``np.triu_indices(q, 1)`` order.
+    ``cell_values`` is ``[cells, q, N]``; the result is ``[pairs, cells]``,
+    pairs in ``np.triu_indices(q, 1)`` order.
     """
-    lengths = []
-    for a, b in zip(*np.triu_indices(cell_values.shape[1], 1)):
-        diff = cell_values[:, a, :] - cell_values[:, b, :]
-        lengths.append(np.sqrt((diff * diff).sum(axis=1)))
-    return lengths
+    a, b = np.triu_indices(cell_values.shape[1], 1)
+    lengths = np.zeros((len(a), cell_values.shape[0]))
+    for sq, i, j in zip(lengths, a, b):
+        # one component at a time: the squares are added in the order a sum
+        # over the component axis adds them, without a [cells, N] temporary
+        for c in range(cell_values.shape[2]):
+            diff = cell_values[:, i, c] - cell_values[:, j, c]
+            sq += diff * diff
+    return np.sqrt(lengths, out=lengths)
 
 
 def edge_arrays(ctx: MetricContext, n: int):
@@ -135,9 +162,9 @@ def edge_arrays(ctx: MetricContext, n: int):
     data = ctx.level(n)
     cells = data.lg.cells
     a, b = np.triu_indices(cells.shape[1], 1)
-    w = _corner_lengths(data.cell_values)
     return (np.concatenate([cells[:, i] for i in a]),
-            np.concatenate([cells[:, j] for j in b]), np.concatenate(w))
+            np.concatenate([cells[:, j] for j in b]),
+            _corner_lengths(data.cell_values).ravel())
 
 
 def _doubled_coo(u: np.ndarray, v: np.ndarray, w: np.ndarray, nv: int) -> sp.coo_matrix:
@@ -207,7 +234,11 @@ def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) ->
 
 @dataclass
 class ConvergenceHistory:
-    """Shortest-walk values over increasing levels with the final estimate."""
+    """Shortest-walk values over increasing levels with the final estimate.
+
+    ``stop_reason`` says why the levels ended short of both ``n_max`` and
+    the tolerance (a level past the address limit), or is None.
+    """
 
     entries: list[tuple[int, float]]
     estimate: float
@@ -215,6 +246,7 @@ class ConvergenceHistory:
     converged: bool
     monotone: bool
     extrapolated: float | None = None
+    stop_reason: str | None = None
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -227,19 +259,38 @@ class ConvergenceHistory:
 def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
                       n_max: int, rtol: float = 1e-9, *,
                       evict: bool = False) -> ConvergenceHistory:
-    """Track the shortest-walk value from ``max(level(x), level(y))`` up to
+    """Track the shortest-walk value from ``m = max(level(x), level(y))`` up to
     ``n_max`` or until the relative step falls below ``rtol``.
+
+    Level ``n`` is read from the level-``m`` skeleton weighted by the reduced
+    corner walks of level ``n`` (:func:`corner_walks`), by one single-source
+    Dijkstra; the level-``n`` vertex graph is never built.  Before each level
+    the address count is checked: the first level past the limit ends the
+    history there, unconverged, with the limit as its ``stop_reason`` (the
+    error is raised when even level ``m`` is past it).  With ``evict`` the
+    previous level is dropped before each new one is computed.
 
     The last value is the reported estimate (a lower approximation of the
     limit); a Richardson-style extrapolation is attached for diagnostics only.
     """
     n0 = max(x.level, y.level)
+    src_lg = build_level(ctx.spec, n0)
+    src, dst = src_lg.vertex_id(x), src_lg.vertex_id(y)
     entries: list[tuple[int, float]] = []
     monotone = True
+    stop_reason = None
     for n in range(n0, n_max + 1):
+        try:
+            level_address_count(ctx.spec, n)
+        except ResourceLimitError as exc:
+            if not entries:
+                raise
+            stop_reason = str(exc)
+            break
         if evict:
             ctx.evict(n - 1)
-        value = float(geodesic_profile(ctx, x, n)[ctx.vertex_id(y, n)])
+        graph = _skeleton_graph(src_lg, corner_walks(ctx, n, n0))
+        value = float(_single_source(graph, src)[dst])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
             monotone = False
         entries.append((n, value))
@@ -256,7 +307,8 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
         d2 = entries[-1][1] - entries[-2][1]
         if d1 > d2 > 0:
             extrapolated = estimate + d2 * d2 / (d1 - d2)
-    return ConvergenceHistory(entries, estimate, last_gap, converged, monotone, extrapolated)
+    return ConvergenceHistory(entries, estimate, last_gap, converged, monotone,
+                              extrapolated, stop_reason)
 
 
 def default_cap(ctx: MetricContext) -> float:
@@ -450,46 +502,136 @@ def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# multi-source distance matrices
+# cell-tree reductions and multi-source distance matrices
 # ---------------------------------------------------------------------------
 
-# parents closed at once by _reduce_cells: bounds its [nv1, nv1, parents]
-# work array to 2**24 entries (128 MiB) on the many-cell patterns
-_REDUCE_BLOCK_ENTRIES = 1 << 24
+# parents closed at once by _reduce_cells: its [slots, parents] work array
+# stays at 2**18 entries (2 MiB), which keeps the row operations in cache
+_REDUCE_BLOCK_ENTRIES = 1 << 18
 
 
-def _reduce_cells(W: np.ndarray, pattern: LevelGraph) -> np.ndarray:
+@dataclass(frozen=True)
+class ReductionSchedule:
+    """Min-plus elimination of the level-1 glue pattern, fixed per spec.
+
+    A *slot* holds the weight of one unordered pair of pattern nodes.
+    ``seeds`` lists ``(slot, pair, child)``: the slot takes the smallest
+    child weight laid on it.  ``updates`` lists ``(dst, a, b)`` row
+    operations ``G[dst] = min(G[dst], G[a] + G[b])``, and ``corners`` holds
+    the slot of each parent corner pair in ``np.triu_indices(q, 1)`` order.
+    """
+
+    letters: int
+    slots: int
+    seeds: tuple[tuple[int, int, int], ...]
+    updates: tuple[tuple[int, int, int], ...]
+    corners: tuple[int, ...]
+
+
+def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
+    """Eliminate the interior nodes of the level-1 ``pattern`` in min-degree
+    order, then close its ``q`` corners.
+
+    Eliminating node ``x`` relaxes every pair ``(u, v)`` of its remaining
+    neighbours through ``x``; closing the corners does the same with each
+    corner as the pivot, since a route between two parent corners may pass
+    through a third.  Both are Floyd-Warshall steps restricted to the pairs
+    that carry a finite weight, so the result is the closure of the pattern
+    on its corners for any nonnegative child weights.
+    """
+    q = pattern.spec.boundary
+    a, b = np.triu_indices(q, 1)
+    slot: dict[tuple[int, int], int] = {}
+
+    def slot_of(u: int, v: int) -> int:
+        return slot.setdefault((min(u, v), max(u, v)), len(slot))
+
+    adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.num_vertices)}
+    seeds = []
+    for i, cell in enumerate(pattern.cells.tolist()):
+        for p in range(len(a)):
+            u, v = cell[a[p]], cell[b[p]]
+            seeds.append((slot_of(u, v), p, i))
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+
+    updates = []
+
+    def pivot(x: int, alive: set[int]) -> None:
+        around = sorted(adjacent[x] & alive)
+        for s, u in enumerate(around):
+            for v in around[s + 1:]:
+                updates.append((slot_of(u, v), slot_of(u, x), slot_of(x, v)))
+                adjacent[u].add(v)
+                adjacent[v].add(u)
+
+    corners = [int(c) for c in pattern.boundary_ids]
+    alive = set(adjacent)
+    interior = alive - set(corners)
+    while interior:
+        x = min(interior, key=lambda v: (len(adjacent[v] & alive), v))
+        interior.remove(x)
+        alive.remove(x)
+        pivot(x, alive)
+    for c in corners:
+        pivot(c, alive - {c})
+    closed = tuple(slot_of(corners[i], corners[j]) for i, j in zip(a, b))
+    return ReductionSchedule(pattern.spec.letters, len(slot), tuple(seeds),
+                             tuple(updates), closed)
+
+
+def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     """One step up the cell tree in the (min, +) semiring.
 
     ``W[p, c]`` is the shortest walk inside child cell ``c`` between the
     corners of pair ``p`` (pairs ``a < b`` in ``np.triu_indices(q, 1)``
     order, cells in big-endian code order, so the ``k`` children of a parent
-    are contiguous).  Each parent is a copy of the level-1 ``pattern`` with
-    every child's weights on its corners (the smaller one where two children
-    join the same corners); Floyd-Warshall over all pattern nodes closes it,
-    corners included, since a route between two parent corners may pass
-    through a third.  Returns the same ``[pairs, P]`` table for the parents.
+    are contiguous).  Each parent is a copy of the level-1 pattern with every
+    child's weights on its corners; the ``schedule`` runs on a ``[slots,
+    parents]`` array, one row operation over all parents of a block at a
+    time.  Returns the same ``[pairs, P]`` table for the parents.
     """
-    k, q = pattern.spec.letters, pattern.spec.boundary
-    nv1 = pattern.num_vertices
-    a, b = np.triu_indices(q, 1)
-    bnd = np.asarray(pattern.boundary_ids)
-    children = W.reshape(len(a), -1, k)
+    pairs = W.shape[0]
+    children = W.reshape(pairs, -1, schedule.letters)
     P = children.shape[1]
-    out = np.empty((len(a), P))
-    block = max(1, _REDUCE_BLOCK_ENTRIES // (nv1 * nv1))
+    out = np.empty((pairs, P))
+    block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part = children[:, s:s + block]
-        # the diagonal is left infinite: a route through it is never shorter,
-        # and no result reads it
-        G = np.full((nv1, nv1, part.shape[1]), np.inf)
-        for i, corners in enumerate(pattern.cells):
-            u, v = corners[a], corners[b]
-            G[u, v] = G[v, u] = np.minimum(G[u, v], part[..., i])
-        for p in range(nv1):
-            np.minimum(G, G[:, p, None] + G[None, p], out=G)
-        out[:, s:s + block] = G[bnd[a], bnd[b]]
+        G = np.full((schedule.slots, part.shape[1]), np.inf)
+        for dst, p, i in schedule.seeds:
+            np.minimum(G[dst], part[p, :, i], out=G[dst])
+        via = np.empty(part.shape[1])
+        for dst, u, v in schedule.updates:
+            np.add(G[u], G[v], out=via)
+            np.minimum(G[dst], via, out=G[dst])
+        out[:, s:s + block] = G[list(schedule.corners)]
     return out
+
+
+def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
+    """Shortest level-``n`` walk inside each level-``m`` cell between its
+    corners, as a ``[pairs, k**m]`` table (pairs and cells ordered as in
+    :func:`_reduce_cells`), for ``0 <= m <= n``.
+
+    At ``m == n`` these are the embedded corner-to-corner lengths.  The
+    coarser tables are reduced from them up the cell tree on the first
+    request and kept, the whole chain, on the level's :class:`LevelData`
+    until ``ctx.evict(n)``.
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")
+    data = ctx.level(n)
+    if m == n:
+        return _corner_lengths(data.cell_values)
+    if data.walks is None:
+        W = _corner_lengths(data.cell_values)
+        chain = []
+        for _ in range(n):
+            W = _reduce_cells(W, ctx.schedule)
+            chain.append(W)
+        data.walks = chain[::-1]
+    return data.walks[m]
 
 
 def _skeleton_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
@@ -537,10 +679,9 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     and leaves a cell only through its corners, so the walk graph between the
     level-``m`` vertices is a skeleton with one weight per corner pair of each
     level-``m`` cell: the shortest walk between those corners inside the
-    cell.  Those weights start as the embedded corner-to-corner lengths of the
-    level-``n`` cells and are reduced ``n - source_level`` times up the cell
-    tree through the level-1 glue pattern (a (min, +) Schur complement, see
-    :func:`_reduce_cells`); Dijkstra then runs on the source-level skeleton.
+    cell, read from the level's reduced corner walks (:func:`corner_walks`,
+    which :func:`geodesic_converge` reads too).  Dijkstra then runs on the
+    source-level skeleton.
 
     With ``workers > 1`` the sources are split into contiguous chunks handled
     by forked worker processes; each source's run is independent, so the
@@ -548,13 +689,8 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     """
     if n < source_level:
         raise ValueError("graph level must be at least the source level")
-    level_address_count(ctx.spec, n)
+    W = corner_walks(ctx, n, source_level)
     src_lg = build_level(ctx.spec, source_level)
-    W = np.stack(_corner_lengths(cell_boundary_values(ctx.hs, ctx.h, n)))
-    if n > source_level:
-        pattern = build_level(ctx.spec, 1)
-        for _ in range(n - source_level):
-            W = _reduce_cells(W, pattern)
     graph = _skeleton_graph(src_lg, W)
     sources = np.arange(src_lg.num_vertices)
     if workers <= 1:

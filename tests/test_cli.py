@@ -7,10 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from fractaldist import metrics
 from fractaldist.cli import load_spec, main, parse_builtin, save_spec
 from fractaldist.errors import SpecValidationError
 from fractaldist.harmonic import HarmonicStructure
-from fractaldist.structure import generate_spec
+from fractaldist.structure import generate_spec, level_address_count
 
 from conftest import UNIT_TRIANGLE_D
 
@@ -93,6 +94,22 @@ def test_geodesic_identical_canonical_ids(tmp_path, capsys):
                       "--from=0:1", "--to=1:0", "--nmax", "3")
     assert code == 0
     assert "estimate 0 " in capsys.readouterr().out
+
+
+def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "level_address_count",
+                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    code, out = run_cli(tmp_path, "--spec", "gasket:2", "geodesic",
+                        "--from=-:0", "--to=-:1", "--nmax", "8")
+    assert code == 1
+    with open(os.path.join(out, "convergence_-_0_-_1.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "level,value"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4"]
+    captured = capsys.readouterr()
+    assert "levels 0..4, converged=false" in captured.out
+    assert ("error: stopped after level 4: level 5 needs 729 addresses (limit 243)"
+            in captured.err)
 
 
 def test_certify_feasible_exit_zero(tmp_path):

@@ -5,6 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from fractaldist import metrics
@@ -23,7 +26,13 @@ from fractaldist.metrics import (
     intrinsic_estimate,
     weighted_level_graph,
 )
-from fractaldist.structure import VertexRef, build_level
+from fractaldist.structure import (
+    FractalSpec,
+    VertexRef,
+    build_level,
+    generate_spec,
+    level_address_count,
+)
 
 from conftest import UNIT_TRIANGLE_D
 
@@ -157,19 +166,62 @@ def test_geodesic_converge_evict_keeps_last_level(sg2_hs, monkeypatch):
     evicting = MetricContext(sg2_hs)
     hist = geodesic_converge(kept, CORNER[0], CORNER[1], 6)
     held_at_build = []
-    build_level = metrics.build_level
+    cell_values = metrics.cell_boundary_values
 
-    def recording_build_level(spec, n, **kwargs):
+    def recording_cell_values(hs, h, n):
         held_at_build.append(sorted(evicting._levels))
-        return build_level(spec, n, **kwargs)
+        return cell_values(hs, h, n)
 
-    monkeypatch.setattr(metrics, "build_level", recording_build_level)
+    monkeypatch.setattr(metrics, "cell_boundary_values", recording_cell_values)
     hist_evict = geodesic_converge(evicting, CORNER[0], CORNER[1], 6, evict=True)
     assert hist_evict.entries == hist.entries
     assert sorted(kept._levels) == list(range(7))
     assert list(evicting._levels) == [6]
     # each level is built with no other level held, so at most one is alive
     assert held_at_build == [[]] * 7
+
+
+ORACLE_TUPLE = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
+
+
+@pytest.mark.parametrize("hs_fixture, alphas, refs, n_max, rtol", [
+    ("sg2_hs", None, CORNER, 7, 0.0),
+    ("sg3_hs", None, CORNER, 5, 0.0),
+    ("hexa_hs", None, CORNER, 5, 0.0),
+    ("nona_hs", None, CORNER, 4, 0.0),
+    ("sg2_hs", ORACLE_TUPLE, CORNER, 6, 0.0),
+    ("sg2_hs", None, [VertexRef((0, 1), 2), VertexRef((2, 2), 0)], 6, 0.0),
+    ("sg2_hs", None, [VertexRef((), 0), VertexRef((1, 2), 1)], 9, 1e-3),
+])
+def test_geodesic_converge_matches_level_dijkstra(request, hs_fixture, alphas, refs,
+                                                  n_max, rtol):
+    hs = request.getfixturevalue(hs_fixture)
+    ctx = MetricContext(hs, None if alphas is None else HarmonicTuple(alphas))
+    for x, y in itertools.combinations(refs, 2):
+        hist = geodesic_converge(ctx, x, y, n_max, rtol=rtol)
+        if rtol:
+            assert hist.converged and hist.entries[-1][0] < n_max
+        else:
+            assert hist.entries[-1][0] == n_max
+        assert hist.entries[0][0] == max(x.level, y.level)
+        for n, value in hist.entries:
+            oracle = discrete_geodesic(ctx, x, y, n).value
+            assert abs(value - oracle) <= 1e-12 * oracle, (str(x), str(y), n)
+
+
+def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
+    full = geodesic_converge(MetricContext(sg2_hs), CORNER[0], CORNER[1], 8, rtol=0.0)
+    monkeypatch.setattr(metrics, "level_address_count",
+                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    ctx = MetricContext(sg2_hs)
+    hist = geodesic_converge(ctx, CORNER[0], CORNER[1], 8, rtol=0.0, evict=True)
+    assert hist.entries == full.entries[:5]
+    assert not hist.converged
+    assert hist.stop_reason == "level 5 needs 729 addresses (limit 243)"
+    assert list(ctx._levels) == [4]
+    # with no level affordable there is no history to return
+    with pytest.raises(ResourceLimitError):
+        geodesic_converge(ctx, VertexRef((0,) * 5, 0), CORNER[1], 8)
 
 
 def test_level_graph_cached_until_evicted(sg2_hs):
@@ -183,16 +235,21 @@ def test_level_graph_cached_until_evicted(sg2_hs):
     assert (rebuilt != graph).nnz == 0
 
 
-def test_geodesic_converge_builds_each_graph_once(sg2_hs, monkeypatch):
+def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     ctx = MetricContext(sg2_hs)
     calls = []
-    edges = metrics.edge_arrays
+    cell_values = metrics.cell_boundary_values
 
-    def counting_edge_arrays(ctx, n):
+    def counting_cell_values(hs, h, n):
         calls.append(n)
-        return edges(ctx, n)
+        return cell_values(hs, h, n)
 
-    monkeypatch.setattr(metrics, "edge_arrays", counting_edge_arrays)
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the level walk graph was assembled")
+
+    monkeypatch.setattr(metrics, "cell_boundary_values", counting_cell_values)
+    monkeypatch.setattr(metrics, "edge_arrays", not_reached)
+    monkeypatch.setattr(metrics, "weighted_level_graph", not_reached)
     for a, b in itertools.combinations(range(3), 2):
         hist = geodesic_converge(ctx, CORNER[a], CORNER[b], 5)
         assert [n for n, _ in hist.entries] == list(range(6))
@@ -222,9 +279,6 @@ def test_distance_matrix_parallel_identical(sg2_ctx):
     assert np.array_equal(serial, parallel)
 
 
-ORACLE_TUPLE = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
-
-
 @pytest.mark.parametrize("hs_fixture, alphas, m, n", [
     ("sg2_hs", None, 0, 5),
     ("sg2_hs", None, 2, 6),
@@ -251,6 +305,60 @@ def test_distance_matrix_blocked_reduction_identical(sg2_ctx, monkeypatch):
     # several blocks
     monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 5 * 6 * 6)
     assert np.array_equal(distance_matrix(sg2_ctx, 1, 6), whole)
+
+
+def floyd_warshall_reduce(W, pattern):
+    """Dense reference for one cell-tree step: Floyd-Warshall over every
+    node of each parent's copy of the level-1 ``pattern``."""
+    k, q = pattern.spec.letters, pattern.spec.boundary
+    a, b = np.triu_indices(q, 1)
+    bnd = np.asarray(pattern.boundary_ids)
+    children = W.reshape(len(a), -1, k)
+    nv1 = pattern.num_vertices
+    G = np.full((nv1, nv1, children.shape[1]), np.inf)
+    for i, corners in enumerate(pattern.cells):
+        u, v = corners[a], corners[b]
+        G[u, v] = G[v, u] = np.minimum(G[u, v], children[..., i])
+    for p in range(nv1):
+        np.minimum(G, G[:, p, None] + G[None, p], out=G)
+    return G[bnd[a], bnd[b]]
+
+
+PATTERNS = {f"{kind}:{param}": build_level(generate_spec(kind, param), 1)
+            for kind, param in [("gasket", 2), ("gasket", 3),
+                                ("polygasket", 6), ("polygasket", 9)]}
+# cells 0 and 1 share two nodes, so two child weights land on one pair; the
+# free corner of cell 2 is an interior node with a single neighbour
+PATTERNS["parallel"] = build_level(FractalSpec(
+    "parallel", 3, 3, (0, 1, 2), ((0, 1, 1, 0), (0, 2, 1, 2), (1, 2, 2, 1))), 1)
+
+
+@pytest.mark.parametrize("name", list(PATTERNS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduce_cells_matches_floyd_warshall(name, data):
+    pattern = PATTERNS[name]
+    k, q = pattern.spec.letters, pattern.spec.boundary
+    parents = data.draw(st.integers(1, 4))
+    # independent weights per corner pair, so a child's three weights need
+    # not satisfy the triangle inequality
+    W = data.draw(arrays(np.float64, (q * (q - 1) // 2, k * parents),
+                         elements=st.floats(0.0, 1e3, allow_subnormal=False)))
+    ref = floyd_warshall_reduce(W, pattern)
+    got = metrics._reduce_cells(W, metrics.reduction_schedule(pattern))
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+@pytest.mark.parametrize("name", list(PATTERNS))
+def test_reduce_cells_blocks_identical(name, monkeypatch):
+    pattern = PATTERNS[name]
+    k, q = pattern.spec.letters, pattern.spec.boundary
+    schedule = metrics.reduction_schedule(pattern)
+    W = np.random.default_rng(7).exponential(size=(q * (q - 1) // 2, k * 7))
+    whole = metrics._reduce_cells(W, schedule)
+    # two parents per block: seven parents run in four blocks
+    monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * schedule.slots)
+    assert np.array_equal(metrics._reduce_cells(W, schedule), whole)
 
 
 def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):
