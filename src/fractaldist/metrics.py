@@ -57,18 +57,27 @@ MONOTONE_TOL = 1e-12
 
 @dataclass
 class LevelData:
-    """Cached per-level arrays: each cell's tuple boundary values and the
-    per-cell weight products, and, built on first request, the vertex graph,
-    the tuple's cell measures, the weighted walk graph (see
+    """Cached arrays of one level, each built on its first request: each
+    cell's tuple boundary values and weight product, the vertex graph, the
+    tuple's cell measures, the weighted walk graph (see
     :func:`weighted_level_graph`) and the reduced corner walks (see
     :func:`corner_walks`)."""
 
     hs: HarmonicStructure
+    h: HarmonicTuple
     level: int
-    cell_values: np.ndarray   # [ncells, q, N]
-    rw: np.ndarray            # [ncells]
     graph: sp.csr_matrix | None = None
     walks: list[np.ndarray] | None = None
+
+    @functools.cached_property
+    def cell_values(self) -> np.ndarray:
+        """``[ncells, q, N]`` corner values, as :func:`cell_boundary_values`."""
+        return cell_boundary_values(self.hs, self.h, self.level)
+
+    @functools.cached_property
+    def rw(self) -> np.ndarray:
+        """``[ncells]`` weight products, as :func:`renorm_products`."""
+        return renorm_products(self.hs.r, self.level)
 
     @functools.cached_property
     def lg(self) -> LevelGraph:
@@ -83,10 +92,9 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations.  A level's cell values are
-    computed on first request; its vertex graph, cell measures, walk graph
-    and corner walks are each built lazily on top.  Reads are thread-safe
-    once built; building is not."""
+    caches used by all distance computations.  Each array of a level is
+    built on its first request.  Reads are thread-safe once built; building
+    is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
@@ -104,11 +112,12 @@ class MetricContext:
         return reduction_schedule(build_level(self.spec, 1))
 
     def level(self, n: int) -> LevelData:
+        """Cache entry of level ``n``; its address count is checked before
+        anything of it is computed."""
         data = self._levels.get(n)
         if data is None:
             level_address_count(self.spec, n)
-            C = cell_boundary_values(self.hs, self.h, n)
-            data = LevelData(self.hs, n, C, renorm_products(self.hs.r, n))
+            data = LevelData(self.hs, self.h, n)
             self._levels[n] = data
         return data
 
