@@ -558,8 +558,8 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
     adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.num_vertices)}
     seeds = []
     for i, cell in enumerate(pattern.cells.tolist()):
-        for p in range(len(a)):
-            u, v = cell[a[p]], cell[b[p]]
+        for p, (ca, cb) in enumerate(zip(a, b)):
+            u, v = cell[ca], cell[cb]
             seeds.append((slot_of(u, v), p, i))
             adjacent[u].add(v)
             adjacent[v].add(u)
