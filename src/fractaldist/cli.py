@@ -219,15 +219,10 @@ def cmd_profile(args) -> int:
     x = VertexRef.parse(getattr(args, "from"))
     phi = metrics.geodesic_profile(ctx, x, args.level)
     lg = ctx.level(args.level).lg
-    if lg.has_addresses:
-        header = "id,word,label,value\n"
-        rows = (f"{vid},{_word_to_str(ref.word)},{ref.label},{phi[vid]:.17g}\n"
-                for vid, ref in enumerate(map(lg.address, range(lg.num_vertices))))
-    else:
-        header = "id,value\n"
-        rows = (f"{vid},{phi[vid]:.17g}\n" for vid in range(len(phi)))
+    rows = (f"{vid},{_word_to_str(ref.word)},{ref.label},{phi[vid]:.17g}\n"
+            for vid, ref in enumerate(map(lg.address, range(lg.num_vertices))))
     _write(os.path.join(cfg.out_dir, f"profile_{_safe(x)}_level{args.level}.csv"),
-           header, rows)
+           "id,word,label,value\n", rows)
     print(f"profile from {x} at level {args.level}: max {phi.max():.17g}")
     return EXIT_OK
 

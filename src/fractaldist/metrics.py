@@ -277,12 +277,15 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     the address count is checked: the first level past the limit ends the
     history there, unconverged, with the limit as its ``stop_reason`` (the
     error is raised when even level ``m`` is past it).  With ``evict`` the
-    previous level is dropped before each new one is computed.
+    previous level is dropped before each new one is computed.  ``n_max``
+    below ``m`` raises ``ValueError``.
 
     The last value is the reported estimate (a lower approximation of the
     limit); a Richardson-style extrapolation is attached for diagnostics only.
     """
     n0 = max(x.level, y.level)
+    if n_max < n0:
+        raise ValueError(f"n_max {n_max} is below the references' level {n0}")
     src_lg = build_level(ctx.spec, n0)
     src, dst = src_lg.vertex_id(x), src_lg.vertex_id(y)
     entries: list[tuple[int, float]] = []

@@ -11,6 +11,7 @@ canonicalized to the lexicographically smallest member of their glue orbit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import string
 from collections import deque
@@ -307,8 +308,19 @@ def generate_spec(kind: str, param: int) -> FractalSpec:
 # addresses
 # ---------------------------------------------------------------------------
 
+def check_ref(spec: FractalSpec, ref: VertexRef) -> None:
+    """Raise ``ValueError`` unless every letter of ``ref`` names a cell of
+    ``spec`` and its label names a boundary point."""
+    if not 0 <= ref.label < spec.boundary:
+        raise ValueError(f"label {ref.label} of {ref} out of range ({spec.boundary} labels)")
+    for w in ref.word:
+        if not 0 <= w < spec.letters:
+            raise ValueError(f"letter {w} of {ref} out of range ({spec.letters} cells)")
+
+
 def lift(spec: FractalSpec, ref: VertexRef, n: int) -> VertexRef:
     """Re-address ``ref`` at level ``n`` by appending its fixed letter."""
+    check_ref(spec, ref)
     if n < ref.level:
         raise ValueError(f"cannot lift level-{ref.level} ref down to level {n}")
     tail = (spec.fixed_letter(ref.label),) * (n - ref.level)
@@ -323,11 +335,7 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
     for a glue rule identifying corner ``a`` of cell ``i`` with corner ``b``
     of cell ``j``.
     """
-    if not 0 <= ref.label < spec.boundary:
-        raise ValueError(f"label {ref.label} out of range")
-    for w in ref.word:
-        if not 0 <= w < spec.letters:
-            raise ValueError(f"letter {w} out of range")
+    check_ref(spec, ref)
     by_corner: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, a, j, b in spec.glue:
         by_corner.setdefault((i, a), []).append((j, b))
@@ -360,12 +368,11 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
 class _LevelMerge:
     """Identification data for one refinement step.
 
-    Candidates at level m are ``i * nv_prev + v`` for a first letter ``i`` and
-    a level-(m-1) vertex ``v``.  ``nonroots`` lists (sorted) the candidates
-    merged away into ``targets``; every other candidate keeps rank order.
+    Candidates at level m are ``i * nv + v`` for a first letter ``i`` and
+    one of the ``nv`` level-(m-1) vertices ``v``.  ``nonroots`` lists (sorted)
+    the candidates merged away into ``targets``; the rest keep rank order.
     """
 
-    nv_prev: int
     nonroots: np.ndarray
     targets: np.ndarray
 
@@ -383,32 +390,35 @@ class _LevelMerge:
 class LevelGraph:
     """Canonicalized vertex set of one refinement level.
 
-    Holds the per-cell corner tuples (``cells``), the ids of the lifted
-    boundary points, and (optionally) the canonical address of every vertex.
-    Construction is incremental over levels; instances are immutable after
-    construction and safe for concurrent reads.
+    ``cells[c, a]``, the id of corner ``a`` of the cell with big-endian code
+    ``c``, is the only record of which address is which vertex;
+    ``boundary_ids`` holds the ids of the lifted boundary points.  A vertex's
+    canonical address is its first occurrence in ``cells.ravel()`` (codes of
+    equal-length words sort like the words), read from a table built lazily
+    on first use.  Instances are immutable and safe for concurrent reads;
+    concurrent first reads only compute that table twice.
     """
 
     def __init__(self, spec: FractalSpec, level: int, num_vertices: int,
-                 cells: np.ndarray, boundary_ids: list[int],
-                 merges: list[_LevelMerge],
-                 addr_words: np.ndarray | None, addr_labels: np.ndarray | None):
+                 cells: np.ndarray, boundary_ids: list[int]):
         self.spec = spec
         self.level = level
         self.num_vertices = num_vertices
         self.cells = cells
         self.boundary_ids = boundary_ids
-        self._merges = merges
-        self._addr_words = addr_words
-        self._addr_labels = addr_labels
 
     @property
     def num_cells(self) -> int:
         return self.spec.letters ** self.level
 
-    @property
-    def has_addresses(self) -> bool:
-        return self._addr_words is not None
+    @functools.cached_property
+    def _first_address(self) -> np.ndarray:
+        """``[nv]`` flat index ``code * q + label`` of each vertex's first
+        occurrence in ``cells``."""
+        flat = self.cells.ravel()
+        first = np.full(self.num_vertices, flat.size, dtype=np.int64)
+        np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
+        return first
 
     def cell_word(self, code: int) -> Word:
         """Decode a big-endian cell code of this level into its letter sequence."""
@@ -416,46 +426,23 @@ class LevelGraph:
 
     def address(self, vertex_id: int) -> VertexRef:
         """Canonical (lexicographically smallest) address of a vertex."""
-        if self._addr_words is None:
-            raise RuntimeError("level graph was built without address tables")
-        word = self.cell_word(int(self._addr_words[vertex_id])) if self.level else ()
-        return VertexRef(word, int(self._addr_labels[vertex_id]))
+        code, label = divmod(int(self._first_address[vertex_id]), self.spec.boundary)
+        return VertexRef(self.cell_word(code), label)
 
     def vertex_id(self, ref: VertexRef) -> int:
         """Canonical id of a vertex given by any equivalent address."""
         lifted = lift(self.spec, ref, self.level)
-        ids = self.vertex_ids(
-            np.array([encode_word(lifted.word, self.spec.letters)], dtype=np.int64),
-            np.array([lifted.label], dtype=np.int64))
-        return int(ids[0])
-
-    def vertex_ids(self, word_codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Vectorized address resolution (level-``n`` addresses only)."""
-        k = self.spec.letters
-        digits = []
-        codes = np.asarray(word_codes, dtype=np.int64).copy()
-        for _ in range(self.level):
-            codes, d = np.divmod(codes, k)
-            digits.append(d)
-        ids = np.asarray(labels, dtype=np.int64).copy()
-        for m, merge in enumerate(self._merges, start=1):
-            first = digits[m - 1]  # letter w_{n-m+1}: innermost suffix first
-            ids = merge.apply(first * merge.nv_prev + ids)
-        return ids
+        return int(self.cells[encode_word(lifted.word, self.spec.letters), lifted.label])
 
     def embed_into(self, finer: "LevelGraph") -> np.ndarray:
         """Ids in ``finer`` of every vertex of this graph (lift embedding)."""
         if finer.level < self.level:
             raise ValueError("target graph must be at least as deep")
-        if self._addr_words is None:
-            raise RuntimeError("embedding requires address tables")
-        k = self.spec.letters
-        codes = self._addr_words.astype(np.int64)
-        labels = self._addr_labels.astype(np.int64)
-        fixed = np.asarray(self.spec.fixed_letters, dtype=np.int64)
+        codes, labels = np.divmod(self._first_address, self.spec.boundary)
+        fixed = np.asarray(self.spec.fixed_letters, dtype=np.int64)[labels]
         for _ in range(finer.level - self.level):
-            codes = codes * k + fixed[labels]
-        return finer.vertex_ids(codes, labels)
+            codes = codes * self.spec.letters + fixed
+        return finer.cells[codes, labels].astype(np.int64)
 
 
 def level_address_count(spec: FractalSpec, n: int,
@@ -475,77 +462,41 @@ def level_address_count(spec: FractalSpec, n: int,
     return total
 
 
-def build_level(spec: FractalSpec, n: int, *, with_addresses: bool | None = None,
+def build_level(spec: FractalSpec, n: int, *,
                 max_addresses: int = DEFAULT_MAX_ADDRESSES) -> LevelGraph:
     """Vertex hierarchy of ``spec`` at level ``n``.
 
     Vertices are equivalence classes of addresses under the glue rules applied
     inside every coarser cell.  Ids are deterministic: classes are ordered by
-    their smallest candidate index at each refinement step.
+    their smallest candidate index at each refinement step.  The graph's
+    address table is built lazily, on its first read (see :class:`LevelGraph`).
     """
-    total = level_address_count(spec, n, max_addresses)
+    level_address_count(spec, n, max_addresses)
     k, q = spec.letters, spec.boundary
-    if with_addresses is None:
-        with_addresses = total <= 20_000_000
 
     nv = q
     boundary_ids = list(range(q))
-    cells = None
-    merges: list[_LevelMerge] = []
-    words = np.zeros(q, dtype=np.int64) if with_addresses else None
-    labels = np.arange(q, dtype=np.int64) if with_addresses else None
+    cells = np.arange(q, dtype=np.int32)[None, :]  # level 0: the whole set
 
-    for m in range(1, n + 1):
+    for _ in range(n):
         # union-find over only the candidates touched by glue rules
         uf = UnionFind()
         for i, a, j, b in spec.glue:
             uf.union(i * nv + boundary_ids[a], j * nv + boundary_ids[b])
         pairs = sorted((x, uf.find(x)) for x in uf.parent if uf.find(x) != x)
-        nonroots = np.array([x for x, _ in pairs], dtype=np.int64)
-        targets = np.array([t for _, t in pairs], dtype=np.int64)
-        merge = _LevelMerge(nv_prev=nv, nonroots=nonroots, targets=targets)
-        merges.append(merge)
-        nv_new = k * nv - len(nonroots)
+        merge = _LevelMerge(nonroots=np.array([x for x, _ in pairs], dtype=np.int64),
+                            targets=np.array([t for _, t in pairs], dtype=np.int64))
 
-        km1 = k ** (m - 1)
-        cells_new = np.empty((k * km1, q), dtype=np.int32)
+        prev = cells.astype(np.int64)
+        cells = np.empty((k * len(prev), q), dtype=np.int32)
         for i in range(k):
-            block = (i * nv + (cells.astype(np.int64) if cells is not None
-                               else np.arange(q, dtype=np.int64)[None, :]))
-            cells_new[i * km1:(i + 1) * km1] = merge.apply(block)
-        if with_addresses:
-            words_new = np.empty(nv_new, dtype=np.int64)
-            labels_new = np.empty(nv_new, dtype=np.int64)
-            for i in range(k):
-                cand = i * nv + np.arange(nv, dtype=np.int64)
-                root_mask = np.ones(nv, dtype=bool)
-                if nonroots.size:
-                    pos = np.searchsorted(nonroots, cand)
-                    pos_c = np.minimum(pos, nonroots.size - 1)
-                    root_mask &= nonroots[pos_c] != cand
-                ids = merge.apply(cand[root_mask])
-                words_new[ids] = i * km1 + words[root_mask]
-                labels_new[ids] = labels[root_mask]
-            for x, t in pairs:  # merged-away addresses may be lexicographically smaller
-                i, v = divmod(x, nv)
-                vid = int(merge.apply(np.array([t]))[0])
-                cand_key = (i * km1 + int(words[v]), int(labels[v]))
-                if cand_key < (int(words_new[vid]), int(labels_new[vid])):
-                    words_new[vid], labels_new[vid] = cand_key
-            words, labels = words_new, labels_new
+            cells[i * len(prev):(i + 1) * len(prev)] = merge.apply(i * nv + prev)
+        boundary_ids = merge.apply(np.array(spec.fixed_letters) * nv + boundary_ids).tolist()
+        nv = k * nv - len(pairs)
 
-        boundary_ids = [int(merge.apply(np.array([spec.fixed_letters[a] * nv
-                                                  + boundary_ids[a]]))[0])
-                        for a in range(q)]
-        nv = nv_new
-        cells = cells_new
-
-    if cells is None:
-        cells = np.arange(q, dtype=np.int32)[None, :]  # level 0: the whole set
-    else:
-        for a in range(q):
-            for b in range(a + 1, q):
-                if np.any(cells[:, a] == cells[:, b]):
-                    raise SpecValidationError(
-                        f"level {n}: a cell has coincident corners {a} and {b}")
-    return LevelGraph(spec, n, nv, cells, boundary_ids, merges, words, labels)
+    for a in range(q):
+        for b in range(a + 1, q):
+            if np.any(cells[:, a] == cells[:, b]):
+                raise SpecValidationError(
+                    f"level {n}: a cell has coincident corners {a} and {b}")
+    return LevelGraph(spec, n, nv, cells, boundary_ids)

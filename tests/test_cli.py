@@ -89,6 +89,20 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["--spec", "mystery", "--out", str(tmp_path / "o"), "check"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["geodesic", "--from=-:7", "--to=-:1", "--nmax", "3"],
+    ["geodesic", "--from=9:0", "--to=-:1", "--nmax", "3"],
+    ["geodesic", "--from=01:0", "--to=-:1", "--nmax", "1"],
+    ["profile", "--from=-:3", "--level", "2"],
+    ["certify", "--from=-:0", "--to=3:1", "--level", "2"],
+], ids=["label", "letter", "below-nmax", "profile", "certify"])
+def test_bad_vertex_ref_is_usage_error(tmp_path, capsys, command):
+    code, out = run_cli(tmp_path, "--spec", "gasket:2", *command)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
 def test_geodesic_identical_canonical_ids(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--spec", "gasket:2", "geodesic",
                       "--from=0:1", "--to=1:0", "--nmax", "3")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractaldist.errors import (
+    FractalDistError,
     InvalidParameterError,
     ResourceLimitError,
     SpecValidationError,
@@ -18,6 +19,7 @@ from fractaldist.structure import (
     VertexRef,
     build_level,
     canonicalize,
+    encode_word,
     generate_spec,
     lift,
 )
@@ -110,9 +112,10 @@ def test_generate_spec_rejects_bad_parameters():
 # oracle: brute-force address enumeration + union-find
 # ---------------------------------------------------------------------------
 
-def brute_force_vertex_count(spec, n):
-    """Count level-n vertices by enumerating all addresses and applying the
-    glue identifications inside every coarser cell."""
+def brute_force_address_classes(spec, n):
+    """Group the level-n addresses ``word + (label,)`` into vertices by
+    enumerating them all and applying the glue identifications inside every
+    coarser cell.  Each class lists its addresses in lexicographic order."""
     k, q = spec.letters, spec.boundary
     addresses = [w + (a,) for w in itertools.product(range(k), repeat=n)
                  for a in range(q)]
@@ -133,7 +136,10 @@ def brute_force_vertex_count(spec, n):
                 ra, rb = find(index[left]), find(index[right])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
-    return len({find(x) for x in range(len(addresses))})
+    classes = {}
+    for t, addr in enumerate(addresses):
+        classes.setdefault(find(t), []).append(addr)
+    return list(classes.values())
 
 
 @pytest.mark.parametrize("kind,param,counts", [
@@ -146,9 +152,49 @@ def test_vertex_counts_match_brute_force(kind, param, counts):
     spec = generate_spec(kind, param)
     for n, expected in enumerate(counts):
         assert build_level(spec, n).num_vertices == expected
-        assert brute_force_vertex_count(spec, n) == expected
+        assert len(brute_force_address_classes(spec, n)) == expected
     for n in range(len(counts), 5):  # brute-force parity up to level 4
-        assert build_level(spec, n).num_vertices == brute_force_vertex_count(spec, n)
+        assert build_level(spec, n).num_vertices == len(brute_force_address_classes(spec, n))
+
+
+@st.composite
+def glue_spec_fields(draw):
+    """Spec-file fields with 2-5 cells and 2-4 labels: a random tree of glue
+    rules joining every cell to an earlier one, plus up to k random rules
+    between distinct cells.  Some are invalid (a fixed letter out of range,
+    coincident corners at some level)."""
+    k = draw(st.integers(2, 5))
+    q = draw(st.integers(2, 4))
+    fixed = draw(st.permutations(range(max(k, q))))[:q]
+    corner = st.integers(0, q - 1)
+    glue = [[draw(st.integers(0, c - 1)), draw(corner), c, draw(corner)]
+            for c in range(1, k)]
+    for _ in range(draw(st.integers(0, k))):
+        i = draw(st.integers(0, k - 1))
+        glue.append([i, draw(corner), (i + draw(st.integers(1, k - 1))) % k, draw(corner)])
+    return {"name": "fuzz", "letters": k, "boundary": q,
+            "fixed_letters": list(fixed), "glue": glue}
+
+
+@given(glue_spec_fields(), st.integers(1, 3))
+def test_level_builder_matches_brute_force_on_random_specs(fields, n):
+    try:
+        spec = FractalSpec.from_json_dict(fields)
+        levels = [build_level(spec, m) for m in range(n + 1)]
+    except FractalDistError:
+        return
+    fine = levels[n]
+    for m, lg in enumerate(levels):
+        classes = brute_force_address_classes(spec, m)
+        assert lg.num_vertices == len(classes)
+        for cls in classes:
+            ids = {int(lg.cells[encode_word(addr[:-1], spec.letters), addr[-1]])
+                   for addr in cls}
+            assert len(ids) == 1
+            assert lg.address(ids.pop()) == VertexRef(cls[0][:-1], cls[0][-1])
+        emb = lg.embed_into(fine)
+        for vid in range(lg.num_vertices):
+            assert fine.vertex_id(lift(spec, lg.address(vid), n)) == int(emb[vid])
 
 
 def test_level_zero_has_boundary_only(sg2_spec):
@@ -228,16 +274,19 @@ def test_glue_rule_endpoints_identified():
             assert left == right
 
 
-def test_canonicalize_agrees_with_level_graph(hexa_spec):
-    lg = build_level(hexa_spec, 3)
+@pytest.mark.parametrize("kind,param", [("gasket", 2), ("gasket", 3),
+                                        ("polygasket", 6), ("polygasket", 9)])
+def test_canonicalize_agrees_with_level_graph(kind, param):
+    spec = generate_spec(kind, param)
+    lg = build_level(spec, 3)
     for vid in range(lg.num_vertices):
         ref = lg.address(vid)
-        assert canonicalize(hexa_spec, ref) == ref
+        assert canonicalize(spec, ref) == ref
     # every equivalent address resolves to the same id
-    for ref in random_refs(hexa_spec, 3, 40, seed=11):
-        lifted = lift(hexa_spec, ref, 3)
+    for ref in random_refs(spec, 3, 40, seed=11):
+        lifted = lift(spec, ref, 3)
         vid = lg.vertex_id(lifted)
-        assert lg.address(vid) == canonicalize(hexa_spec, lifted)
+        assert lg.address(vid) == canonicalize(spec, lifted)
 
 
 def test_lift_definition_and_identity(sg2_spec):
@@ -327,11 +376,3 @@ def test_triple_point_orbit_collapses(sg3_spec):
     # one vertex carries three pairwise rules (the three-cell contact point)
     assert sorted(counts.values()) == [1, 1, 1, 1, 1, 1, 3]
 
-
-def test_address_table_absent_when_disabled(sg2_spec):
-    lg = build_level(sg2_spec, 2, with_addresses=False)
-    assert not lg.has_addresses
-    with pytest.raises(RuntimeError):
-        lg.address(0)
-    # id resolution still works without the tables
-    assert lg.vertex_id(VertexRef((), 1)) == lg.boundary_ids[1]
