@@ -182,6 +182,8 @@ GOLDEN_COMMANDS = [
     ["certify", "--from=-:0", "--to=-:1", "--level", "3"],
     ["measures", "--depth", "3"],
     ["intrinsic", "--from=-:0", "--to=-:1", "--level", "3", "--budget", "40"],
+    ["profile", "--from=-:0", "--level", "3"],
+    ["embed", "--level", "3"],
 ]
 
 
