@@ -2,7 +2,10 @@
 
 Every subcommand writes its numeric outputs as files under ``--out`` with a
 fixed 17-significant-digit format and rows ordered by canonical vertex id, so
-repeated runs of the same configuration are byte-identical.
+repeated runs of the same configuration are byte-identical.  Tables are
+formatted from arrays one block of rows at a time (words by
+:func:`~fractaldist.structure.word_column`), still in canonical-id order;
+profiles and graphs are streamed to the file block by block.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .harmonic import (
     default_boundary_matrix,
 )
 from .measures import HarmonicTuple, cell_measure_table, default_tuple
-from .structure import FractalSpec, VertexRef, _word_to_str, generate_spec
+from .structure import FractalSpec, VertexRef, generate_spec, row_blocks, vertex_rows
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
+
+_WRITE_SLICE = 1 << 20
 
 _BUILTIN_ALIASES = {
     "hexagasket": ("polygasket", 6),
@@ -148,10 +153,15 @@ def _safe(ref: VertexRef) -> str:
 
 
 def _write(path: str, text: str, lines=()) -> None:
-    """Write ``text`` and then every string of ``lines`` to ``path``."""
+    """Write ``text`` and then every string of ``lines`` to ``path``.
+
+    ``text`` goes out in slices of ``_WRITE_SLICE`` characters, so encoding
+    a large table never holds a second full-size copy of it.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
         fh.writelines(lines)
 
 
@@ -185,10 +195,11 @@ def cmd_graph(args) -> int:
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     order = np.lexsort((hi, lo))
-    rows = ["u,v,weight"]
-    rows += [f"{lo[i]},{hi[i]},{w[i]:.17g}" for i in order]
-    _write(os.path.join(cfg.out_dir, f"graph_level{args.level}.csv"),
-           "\n".join(rows) + "\n")
+    lo, hi, w = lo[order], hi[order], w[order]
+    rows = ("".join([f"{a},{b},{x:.17g}\n" for a, b, x in
+                     zip(lo[s].tolist(), hi[s].tolist(), w[s].tolist())])
+            for s in row_blocks(len(w)))
+    _write(os.path.join(cfg.out_dir, f"graph_level{args.level}.csv"), "u,v,weight\n", rows)
     nv = ctx.level(args.level).lg.num_vertices
     print(f"level {args.level}: {nv} vertices, {len(u)} edges")
     return EXIT_OK
@@ -218,11 +229,8 @@ def cmd_profile(args) -> int:
     ctx = _context(cfg)
     x = VertexRef.parse(getattr(args, "from"))
     phi = metrics.geodesic_profile(ctx, x, args.level)
-    lg = ctx.level(args.level).lg
-    rows = (f"{vid},{_word_to_str(ref.word)},{ref.label},{phi[vid]:.17g}\n"
-            for vid, ref in enumerate(map(lg.address, range(lg.num_vertices))))
     _write(os.path.join(cfg.out_dir, f"profile_{_safe(x)}_level{args.level}.csv"),
-           "id,word,label,value\n", rows)
+           "id,word,label,value\n", vertex_rows(ctx.level(args.level).lg, phi))
     print(f"profile from {x} at level {args.level}: max {phi.max():.17g}")
     return EXIT_OK
 
@@ -271,7 +279,7 @@ def cmd_embed(args) -> int:
     ctx = _context(cfg)
     table = metrics.embedding_table(ctx, args.level)
     _write(os.path.join(cfg.out_dir, f"embedding_level{args.level}.csv"), table.to_csv())
-    print(f"embedded {len(table.refs)} vertices at level {args.level} "
+    print(f"embedded {len(table.coords)} vertices at level {args.level} "
           f"into R^{ctx.n_components}")
     return EXIT_OK
 

@@ -8,14 +8,13 @@ boundary values.  Measures are represented only through their values on cells
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .harmonic import HarmonicStructure, renorm_products
-from .structure import LevelGraph, Word, _word_to_str, decode_word, encode_word
+from .structure import LevelGraph, Word, encode_word, row_blocks, word_column
 
 FEASIBILITY_RTOL = 1e-9
 
@@ -192,12 +191,15 @@ class SlackTable:
 
 
 def _depth_table_csv(column: str, per_depth: list[np.ndarray], k: int) -> str:
-    out = io.StringIO()
-    out.write(f"word,depth,{column}\n")
+    """Rows ``word,depth,value`` of every cell, by depth and then by code,
+    formatted one block of rows at a time."""
+    blocks = [f"word,depth,{column}\n"]
     for m, vals in enumerate(per_depth):
-        for code, val in enumerate(vals):
-            out.write(f"{_word_to_str(decode_word(code, m, k))},{m},{val:.17g}\n")
-    return out.getvalue()
+        for b in row_blocks(vals.size):
+            words = word_column(np.arange(b.start, b.stop), m, k)
+            blocks.append("".join([f"{word},{m},{val:.17g}\n"
+                                   for word, val in zip(words, vals[b].tolist())]))
+    return "".join(blocks)
 
 
 def subtree_sums(deepest: np.ndarray, k: int) -> list[np.ndarray]:

@@ -47,9 +47,9 @@ from .structure import (
     FractalSpec,
     LevelGraph,
     VertexRef,
-    _word_to_str,
     build_level,
     level_address_count,
+    vertex_rows,
 )
 
 MONOTONE_TOL = 1e-12
@@ -488,29 +488,29 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
 
 @dataclass
 class EmbeddingTable:
-    """Coordinates of every level vertex, ordered by canonical id."""
+    """Coordinates of every vertex of ``lg``, ordered by canonical id."""
 
-    level: int
-    refs: list[VertexRef]
+    lg: LevelGraph
     coords: np.ndarray
+
+    @property
+    def level(self) -> int:
+        return self.lg.level
+
+    @property
+    def refs(self) -> list[VertexRef]:
+        """Canonical address of every vertex, read from ``lg.addresses``."""
+        return [self.lg.address(v) for v in range(self.lg.num_vertices)]
 
     def to_csv(self) -> str:
         n_comp = self.coords.shape[1]
         header = "id,word,label," + ",".join(f"x_{j + 1}" for j in range(n_comp))
-        out = io.StringIO()
-        out.write(header + "\n")
-        for vid, ref in enumerate(self.refs):
-            xs = ",".join(f"{c:.17g}" for c in self.coords[vid])
-            out.write(f"{vid},{_word_to_str(ref.word)},{ref.label},{xs}\n")
-        return out.getvalue()
+        return header + "\n" + "".join(vertex_rows(self.lg, self.coords))
 
 
 def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
     """Embedded point cloud of the level-``n`` vertices."""
-    data = ctx.level(n)
-    coords = ctx.coords(n)
-    refs = [data.lg.address(v) for v in range(data.lg.num_vertices)]
-    return EmbeddingTable(n, refs, coords)
+    return EmbeddingTable(ctx.level(n).lg, ctx.coords(n))
 
 
 # ---------------------------------------------------------------------------

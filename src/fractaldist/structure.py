@@ -16,7 +16,7 @@ import math
 import string
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
 Word = tuple[int, ...]
 
 _DIGITS = string.digits + string.ascii_lowercase
+_DIGIT_POINTS = np.array([ord(c) for c in _DIGITS], dtype=np.uint32)
 
 DEFAULT_MAX_ADDRESSES = 80_000_000
 
@@ -54,6 +55,22 @@ def decode_word(code: int, length: int, k: int) -> Word:
         code, d = divmod(code, k)
         digits.append(d)
     return tuple(reversed(digits))
+
+
+def word_column(codes: np.ndarray, length: int, k: int) -> list[str]:
+    """Digit strings (``'-'`` for the empty word) of the length-``length``
+    words with big-endian cell codes ``codes``, as ``_word_to_str`` spells
+    them.  The ``[rows, length]`` letter table comes from one array ``divmod``
+    per letter; mapped to code points it is read as ``U{length}`` strings."""
+    if length == 0:
+        return ["-"] * len(codes)
+    if k > len(_DIGITS):
+        raise ValueError(f"cannot spell words over {k} letters with {len(_DIGITS)} digits")
+    rest = np.asarray(codes, dtype=np.int64)
+    letters = np.empty((rest.size, length), dtype=np.uint8)
+    for pos in range(length - 1, -1, -1):
+        rest, letters[:, pos] = np.divmod(rest, k)
+    return _DIGIT_POINTS[letters].view(f"U{length}").ravel().tolist()
 
 
 class UnionFind:
@@ -394,9 +411,12 @@ class LevelGraph:
     ``c``, is the only record of which address is which vertex;
     ``boundary_ids`` holds the ids of the lifted boundary points.  A vertex's
     canonical address is its first occurrence in ``cells.ravel()`` (codes of
-    equal-length words sort like the words), read from a table built lazily
-    on first use.  Instances are immutable and safe for concurrent reads;
-    concurrent first reads only compute that table twice.
+    equal-length words sort like the words); the public address table
+    :attr:`addresses` holds it for every vertex as ``(codes, labels)``
+    arrays and is built on first read.  :meth:`address`, :meth:`embed_into`
+    and the CSV writers all read that table.  Instances are immutable and
+    safe for concurrent reads; concurrent first reads only compute the table
+    twice.
     """
 
     def __init__(self, spec: FractalSpec, level: int, num_vertices: int,
@@ -412,13 +432,16 @@ class LevelGraph:
         return self.spec.letters ** self.level
 
     @functools.cached_property
-    def _first_address(self) -> np.ndarray:
-        """``[nv]`` flat index ``code * q + label`` of each vertex's first
+    def addresses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``[nv]`` cell codes and ``[nv]`` corner labels of the
+        canonical addresses, indexed by vertex id: each vertex's first
         occurrence in ``cells``."""
         flat = self.cells.ravel()
         first = np.full(self.num_vertices, flat.size, dtype=np.int64)
         np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
-        return first
+        codes, labels = np.divmod(first, self.spec.boundary)
+        codes.flags.writeable = labels.flags.writeable = False
+        return codes, labels
 
     def cell_word(self, code: int) -> Word:
         """Decode a big-endian cell code of this level into its letter sequence."""
@@ -426,8 +449,8 @@ class LevelGraph:
 
     def address(self, vertex_id: int) -> VertexRef:
         """Canonical (lexicographically smallest) address of a vertex."""
-        code, label = divmod(int(self._first_address[vertex_id]), self.spec.boundary)
-        return VertexRef(self.cell_word(code), label)
+        codes, labels = self.addresses
+        return VertexRef(self.cell_word(int(codes[vertex_id])), int(labels[vertex_id]))
 
     def vertex_id(self, ref: VertexRef) -> int:
         """Canonical id of a vertex given by any equivalent address."""
@@ -438,7 +461,7 @@ class LevelGraph:
         """Ids in ``finer`` of every vertex of this graph (lift embedding)."""
         if finer.level < self.level:
             raise ValueError("target graph must be at least as deep")
-        codes, labels = np.divmod(self._first_address, self.spec.boundary)
+        codes, labels = self.addresses
         fixed = np.asarray(self.spec.fixed_letters, dtype=np.int64)[labels]
         for _ in range(finer.level - self.level):
             codes = codes * self.spec.letters + fixed
@@ -500,3 +523,34 @@ def build_level(spec: FractalSpec, n: int, *,
                 raise SpecValidationError(
                     f"level {n}: a cell has coincident corners {a} and {b}")
     return LevelGraph(spec, n, nv, cells, boundary_ids)
+
+
+# ---------------------------------------------------------------------------
+# CSV rows
+# ---------------------------------------------------------------------------
+
+# rows formatted at once by the CSV writers: a block's temporary strings stay
+# near 0.3 MiB, small enough not to raise the peak RSS of a run that writes
+# large tables, and large enough that the per-block array calls cost under 1%
+_CSV_BLOCK_ROWS = 1 << 10
+
+
+def row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``_CSV_BLOCK_ROWS`` rows covering
+    ``range(rows)``, in order."""
+    step = _CSV_BLOCK_ROWS
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def vertex_rows(lg: LevelGraph, values: np.ndarray) -> Iterator[str]:
+    """CSV rows ``id,word,label,v_1,...`` of every vertex of ``lg`` in id
+    order, one string per block of rows; ``values`` is ``[nv]`` or
+    ``[nv, c]`` and is written with 17 significant digits."""
+    codes, labels = lg.addresses
+    values = np.asarray(values).reshape(lg.num_vertices, -1)
+    for b in row_blocks(lg.num_vertices):
+        words = word_column(codes[b], lg.level, lg.spec.letters)
+        cols = [[f"{x:.17g}" for x in col] for col in values[b].T.tolist()]
+        yield "".join([f"{vid},{word},{label},{xs}\n" for vid, word, label, xs in
+                       zip(range(b.start, b.stop), words, labels[b].tolist(),
+                           map(",".join, zip(*cols)))])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fractaldist import metrics
+from fractaldist import metrics, structure
 from fractaldist.cli import load_spec, main, parse_builtin, save_spec
 from fractaldist.errors import SpecValidationError
 from fractaldist.harmonic import HarmonicStructure
@@ -200,3 +200,25 @@ def test_outputs_match_golden_files(tmp_path):
             expected = fh.read()
         with open(os.path.join(out, name), "rb") as fh:
             assert fh.read() == expected, name
+
+
+def test_block_size_does_not_change_bytes(tmp_path, monkeypatch):
+    # tables are formatted in blocks of rows; blocks of 7 put seams inside
+    # every table at level 3 and must write the same bytes as one block
+    commands = [["profile", "--from=-:1", "--level", "3"],
+                ["certify", "--from=-:0", "--to=-:2", "--level", "3"],
+                ["measures", "--depth", "3"],
+                ["embed", "--level", "3"],
+                ["graph", "--level", "3"]]
+    for sub_dir in ("default", "blocks7"):
+        if sub_dir == "blocks7":
+            monkeypatch.setattr(structure, "_CSV_BLOCK_ROWS", 7)
+        for command in commands:
+            code, out = run_cli(tmp_path, "--spec", "gasket:2", *command, sub_dir=sub_dir)
+            assert code == 0
+    default, blocks7 = tmp_path / "default", tmp_path / "blocks7"
+    names = sorted(os.listdir(default))
+    assert names == sorted(os.listdir(blocks7))
+    assert sum(name.endswith(".csv") for name in names) == 5
+    for name in names:
+        assert (blocks7 / name).read_bytes() == (default / name).read_bytes(), name

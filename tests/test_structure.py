@@ -17,11 +17,14 @@ from fractaldist.errors import (
 from fractaldist.structure import (
     FractalSpec,
     VertexRef,
+    _word_to_str,
     build_level,
     canonicalize,
+    decode_word,
     encode_word,
     generate_spec,
     lift,
+    word_column,
 )
 
 
@@ -326,6 +329,21 @@ def test_boundary_ids_are_lifted_corners(sg2_spec):
 def test_vertex_ref_text_roundtrip(word, label):
     ref = VertexRef(tuple(word), label)
     assert VertexRef.parse(str(ref)) == ref
+
+
+@pytest.mark.parametrize("k", [2, 3, 9, 11, 36])
+def test_word_column_spells_every_code(k):
+    for length in range(5):
+        # 36**4 codes take seconds through the per-code reference; every 37th
+        # still puts every letter in every position
+        codes = range(0, k ** length, 37 if k ** length > 10 ** 6 else 1)
+        expected = [_word_to_str(decode_word(c, length, k)) for c in codes]
+        assert word_column(np.array(codes), length, k) == expected
+
+
+def test_word_column_rejects_letters_past_z():
+    with pytest.raises(ValueError):
+        word_column(np.arange(3), 1, 37)
 
 
 def test_vertex_ref_parse_rejects_garbage():
