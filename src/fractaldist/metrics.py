@@ -505,7 +505,7 @@ class EmbeddingTable:
     def to_csv(self) -> str:
         n_comp = self.coords.shape[1]
         header = "id,word,label," + ",".join(f"x_{j + 1}" for j in range(n_comp))
-        return header + "\n" + "".join(vertex_rows(self.lg, self.coords))
+        return "".join([header + "\n", *vertex_rows(self.lg, self.coords)])
 
 
 def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
