@@ -184,6 +184,8 @@ GOLDEN_COMMANDS = [
     ["intrinsic", "--from=-:0", "--to=-:1", "--level", "3", "--budget", "40"],
     ["profile", "--from=-:0", "--level", "3"],
     ["embed", "--level", "3"],
+    ["graph", "--level", "3"],
+    ["geodesic", "--from=-:0", "--to=-:1", "--nmax", "5"],
 ]
 
 
