@@ -191,17 +191,15 @@ def cmd_check(args) -> int:
 def cmd_graph(args) -> int:
     cfg = resolve_config(args)
     ctx = _context(cfg)
-    u, v, w = metrics.edge_arrays(ctx, args.level)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
+    # the upper triangle of the sorted CSR, one row per vertex pair by (u, v)
+    graph = metrics.weighted_level_graph(ctx, args.level).tocoo()
+    upper = graph.row < graph.col
+    lo, hi, w = graph.row[upper], graph.col[upper], graph.data[upper]
     rows = ("".join([f"{a},{b},{x:.17g}\n" for a, b, x in
                      zip(lo[s].tolist(), hi[s].tolist(), w[s].tolist())])
             for s in row_blocks(len(w)))
     _write(os.path.join(cfg.out_dir, f"graph_level{args.level}.csv"), "u,v,weight\n", rows)
-    nv = ctx.level(args.level).lg.num_vertices
-    print(f"level {args.level}: {nv} vertices, {len(u)} edges")
+    print(f"level {args.level}: {graph.shape[0]} vertices, {len(w)} edges")
     return EXIT_OK
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic import HarmonicStructure, renorm_products
-from .structure import LevelGraph, Word, encode_word, row_blocks, word_column
+from .structure import (
+    LevelGraph,
+    Word,
+    encode_word,
+    level_address_count,
+    row_blocks,
+    word_column,
+)
 
 FEASIBILITY_RTOL = 1e-9
 
@@ -67,7 +74,11 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     Returns ``C`` of shape ``[k**n, q, N]`` in big-endian cell-code order:
     ``C[w, :, j]`` are the values of component ``j`` along the corners of cell
     ``w``.  Built by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``.
+    The level's address count is checked first (:func:`level_address_count`):
+    a negative ``n`` raises ``ValueError`` and an oversized one
+    :class:`ResourceLimitError`, before anything is allocated.
     """
+    level_address_count(hs.spec, n)
     k = hs.spec.letters
     C = h.alphas.T[None, :, :].astype(float)
     for _ in range(n):
@@ -107,7 +118,9 @@ def harmonic_cell_measure(hs: HarmonicStructure, h: HarmonicTuple, word: Word) -
 
 def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
     """Vector of measures of all level-``n`` cells (big-endian code order)."""
-    return cell_form(hs, renorm_products(hs.r, n), cell_boundary_values(hs, h, n))
+    # first: cell_boundary_values checks the level before anything is allocated
+    values = cell_boundary_values(hs, h, n)
+    return cell_form(hs, renorm_products(hs.r, n), values)
 
 
 def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.ndarray:

@@ -6,13 +6,17 @@ weight is the Euclidean distance of the endpoints' coordinates under the
 harmonic tuple.  Shortest walk lengths are nondecreasing in ``n`` and their
 limit is the geodesic distance through the embedding.
 
-Walk lengths between fixed references (:func:`geodesic_converge`,
+Every Dijkstra runs on a walk graph built by :func:`_walk_graph`: the
+vertices of one level, joined inside each of its cells with one weight per
+corner pair.  Where cells share a vertex pair, the shorter weight is kept.
+Profiles and certificates, which need every vertex, weight the level-``n``
+graph by its own corner lengths (:func:`weighted_level_graph`).  Walk
+lengths between fixed references (:func:`geodesic_converge`,
 :func:`distance_matrix`) never build the level-``n`` graph: a walk crosses a
 cell only through its corners, so the corner-to-corner lengths of the
 level-``n`` cells are reduced up the cell tree in the (min, +) semiring by a
 schedule fixed per spec (:func:`reduction_schedule`), and Dijkstra runs on
-the small graph of the references' own level.  Profiles and certificates,
-which need every vertex, run Dijkstra on the full level graph.
+the small graph of the references' own level, weighted by those reductions.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -165,48 +169,66 @@ def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
     return np.sqrt(lengths, out=lengths)
 
 
+def _cell_pairs(lg: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(u, v)`` of corner pair ``p`` of cell ``c`` at ``p * cells
+    + c``: the raveled layout of a ``[pairs, cells]`` table such as
+    :func:`_corner_lengths`."""
+    a, b = np.triu_indices(lg.cells.shape[1], 1)
+    return lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
+
+
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
     per unordered corner pair per cell, weights = embedded Euclidean lengths."""
     data = ctx.level(n)
-    cells = data.lg.cells
-    a, b = np.triu_indices(cells.shape[1], 1)
-    return (np.concatenate([cells[:, i] for i in a]),
-            np.concatenate([cells[:, j] for j in b]),
-            _corner_lengths(data.cell_values).ravel())
+    return (*_cell_pairs(data.lg), _corner_lengths(data.cell_values).ravel())
 
 
-def _doubled_coo(u: np.ndarray, v: np.ndarray, w: np.ndarray, nv: int) -> sp.coo_matrix:
-    """COO adjacency holding every edge ``(u, v, w)`` in both directions.
+def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
+    """Symmetric CSR walk graph on the vertices of ``lg``, with weight
+    ``W[p, c]`` between the corners of pair ``p`` of cell ``c`` (``W`` laid
+    out as :func:`_corner_lengths`).
 
-    The edges must be distinct: the conversion to CSR sums duplicates.
+    Where cells share a vertex pair the shorter weight is kept: the COO to
+    CSR conversion sums such entries, so only when it stores fewer entries
+    than doubled edges are the weights reduced again, by their minimum over
+    each sorted key, which is the CSR's own order.  ``W`` and the edge
+    columns are released before the conversion because the deepest levels
+    run close to the memory budget.
     """
-    return sp.coo_matrix((np.concatenate([w, w]),
-                          (np.concatenate([u, v]), np.concatenate([v, u]))),
-                         shape=(nv, nv))
+    nv = lg.num_vertices
+    u, v = _cell_pairs(lg)
+    w = W.ravel()
+    doubled = sp.coo_matrix((np.concatenate([w, w]),
+                             (np.concatenate([u, v]), np.concatenate([v, u]))),
+                            shape=(nv, nv))
+    del u, v, w, W
+    graph = doubled.tocsr()
+    if graph.nnz < doubled.nnz:
+        key = doubled.row.astype(np.int64) * nv + doubled.col
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        graph.data = np.minimum.reduceat(doubled.data[order], first)
+    return graph
 
 
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
-    """Symmetric CSR adjacency of the level-``n`` walk graph.
+    """Symmetric CSR adjacency of the level-``n`` walk graph: :func:`_walk_graph`
+    on the level's cells, weighted by their embedded corner lengths.
 
     Built on the first request for the level and kept on its
     :class:`LevelData` until ``ctx.evict(n)``; like the level itself, building
-    it is not thread-safe.  The doubled edge list has no duplicate entries, so
-    the COO to CSR conversion sums nothing.  The edge arrays are released
-    before it because the deepest levels run close to the memory budget.
+    it is not thread-safe.
     """
     data = ctx.level(n)
     if data.graph is None:
-        u, v, w = edge_arrays(ctx, n)
-        doubled = _doubled_coo(u, v, w, data.lg.num_vertices)
-        del u, v, w
-        data.graph = doubled.tocsr()
+        data.graph = _walk_graph(data.lg, corner_walks(ctx, n, n))
     return data.graph
 
 
-def _single_source(graph: sp.csr_matrix, source: int, *, predecessors: bool = False):
+def _dijkstra(graph: sp.csr_matrix, sources, *, predecessors: bool = False):
     # the stored matrix is already symmetrized, so row-only traversal suffices
-    return _csgraph_dijkstra(graph, indices=source, directed=True,
+    return _csgraph_dijkstra(graph, indices=sources, directed=True,
                              return_predecessors=predecessors)
 
 
@@ -223,7 +245,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` on the level-``n`` graph."""
     graph = weighted_level_graph(ctx, n)
     src = ctx.vertex_id(x, n)
-    return np.asarray(_single_source(graph, src))
+    return np.asarray(_dijkstra(graph, src))
 
 
 def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) -> GeodesicResult:
@@ -231,7 +253,7 @@ def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) ->
     graph = weighted_level_graph(ctx, n)
     src = ctx.vertex_id(x, n)
     dst = ctx.vertex_id(y, n)
-    dist, pred = _single_source(graph, src, predecessors=True)
+    dist, pred = _dijkstra(graph, src, predecessors=True)
     if not np.isfinite(dist[dst]):
         raise FractalDistError(f"level-{n} graph is disconnected between {x} and {y}")
     path = [dst]
@@ -301,8 +323,8 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
             break
         if evict:
             ctx.evict(n - 1)
-        graph = _skeleton_graph(src_lg, corner_walks(ctx, n, n0))
-        value = float(_single_source(graph, src)[dst])
+        graph = _walk_graph(src_lg, corner_walks(ctx, n, n0))
+        value = float(_dijkstra(graph, src)[dst])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
             monotone = False
         entries.append((n, value))
@@ -384,8 +406,8 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
     """
     if cap is None:
         cap = default_cap(ctx)
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    if not 0 <= cap < math.inf:
+        raise ValueError(f"cap must be finite and nonnegative, got {cap}")
     data = ctx.level(n)
     phi = geodesic_profile(ctx, x, n)
     f = np.minimum(phi, cap)
@@ -646,24 +668,6 @@ def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     return data.walks[m]
 
 
-def _skeleton_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
-    """Walk graph on the vertices of ``lg`` with edge weight ``W[p, c]``
-    between the corners of pair ``p`` of each cell ``c`` (as in
-    :func:`_reduce_cells`); where cells share a corner pair the shorter
-    weight is kept."""
-    nv = lg.num_vertices
-    a, b = np.triu_indices(lg.cells.shape[1], 1)
-    u, v = lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
-    lo = np.minimum(u, v).astype(np.int64)
-    hi = np.maximum(u, v).astype(np.int64)
-    key = lo * nv + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    w = np.minimum.reduceat(W.ravel()[order], first)
-    return _doubled_coo(lo[order][first], hi[order][first], w, nv).tocsr()
-
-
 _WORKER_GRAPH: sp.csr_matrix | None = None
 
 
@@ -672,12 +676,8 @@ def _worker_init(graph):
     _WORKER_GRAPH = graph
 
 
-def _source_rows(graph: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    return _csgraph_dijkstra(graph, directed=True, indices=sources)
-
-
 def _worker_chunk(chunk: np.ndarray) -> np.ndarray:
-    return _source_rows(_WORKER_GRAPH, chunk)
+    return _dijkstra(_WORKER_GRAPH, chunk)
 
 
 def distance_matrix(ctx: MetricContext, source_level: int, n: int,
@@ -703,10 +703,10 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
         raise ValueError("graph level must be at least the source level")
     W = corner_walks(ctx, n, source_level)
     src_lg = build_level(ctx.spec, source_level)
-    graph = _skeleton_graph(src_lg, W)
+    graph = _walk_graph(src_lg, W)
     sources = np.arange(src_lg.num_vertices)
     if workers <= 1:
-        return _source_rows(graph, sources)
+        return _dijkstra(graph, sources)
     chunks = [c for c in np.array_split(sources, workers) if len(c)]
     mp = multiprocessing.get_context("fork")
     with mp.Pool(processes=len(chunks), initializer=_worker_init,

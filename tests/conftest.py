@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,13 +7,25 @@ from hypothesis import settings
 from fractaldist.harmonic import HarmonicStructure
 from fractaldist.measures import default_tuple
 from fractaldist.metrics import MetricContext
-from fractaldist.structure import generate_spec
+from fractaldist.structure import FractalSpec, generate_spec
 
 # every run draws the same examples, and slow examples are not failures
 settings.register_profile("fixed", derandomize=True, deadline=None)
 settings.load_profile("fixed")
 
 UNIT_TRIANGLE_D = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+
+
+def shortest_pair_weights(lg, W):
+    """Smallest weight laid on each vertex pair ``(u, v)``, ``u < v``, over
+    the corner pairs of every cell of ``lg`` (``W`` is ``[pairs, cells]``)."""
+    best = {}
+    pairs = list(itertools.combinations(range(lg.cells.shape[1]), 2))
+    for c, corners in enumerate(lg.cells.tolist()):
+        for p, (a, b) in enumerate(pairs):
+            key = (min(corners[a], corners[b]), max(corners[a], corners[b]))
+            best[key] = min(best.get(key, np.inf), W[p, c])
+    return best
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +46,23 @@ def hexa_spec():
 @pytest.fixture(scope="session")
 def nona_spec():
     return generate_spec("polygasket", 9)
+
+
+# a valid spec whose cells may meet in two points: cell 3 shares two corners
+# with each other cell, so three vertex pairs of the level-1 graph carry the
+# weights of two cells each
+TWO_CORNER_FIELDS = {"name": "two-corner", "letters": 4, "boundary": 3,
+                     "fixed_letters": [2, 0, 1],
+                     "glue": [[0, 0, 2, 1], [0, 2, 1, 1], [1, 0, 2, 2],
+                              [1, 0, 3, 0], [1, 1, 3, 1], [2, 1, 3, 2]]}
+
+
+@pytest.fixture(scope="session")
+def two_corner_hs():
+    hs = HarmonicStructure.build(FractalSpec.from_json_dict(TWO_CORNER_FIELDS))
+    # the equal-weight solve of this spec
+    assert np.allclose(hs.r, 0.625, atol=1e-12)
+    return hs
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from fractaldist import metrics, structure
+from fractaldist import measures, metrics, structure
 from fractaldist.cli import load_spec, main, parse_builtin, save_spec
 from fractaldist.errors import SpecValidationError
 from fractaldist.harmonic import HarmonicStructure
 from fractaldist.structure import generate_spec, level_address_count
 
-from conftest import UNIT_TRIANGLE_D
+from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D, shortest_pair_weights
 
 
 def test_parse_builtin_aliases():
@@ -97,9 +97,35 @@ def test_usage_error_exit_code(tmp_path):
     ["certify", "--from=-:0", "--to=3:1", "--level", "2"],
 ], ids=["label", "letter", "below-nmax", "profile", "certify"])
 def test_bad_vertex_ref_is_usage_error(tmp_path, capsys, command):
+    assert_usage_error(tmp_path, capsys, command)
+
+
+@pytest.mark.parametrize("command", [
+    ["measures", "--depth", "-1"],
+    ["certify", "--from=-:0", "--to=-:1", "--level", "2", "--cap", "nan"],
+    ["certify", "--from=-:0", "--to=-:1", "--level", "2", "--cap", "inf"],
+], ids=["negative-depth", "nan-cap", "infinite-cap"])
+def test_bad_option_value_is_usage_error(tmp_path, capsys, command):
+    assert_usage_error(tmp_path, capsys, command)
+
+
+def assert_usage_error(tmp_path, capsys, command):
     code, out = run_cli(tmp_path, "--spec", "gasket:2", *command)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
+def test_measures_depth_past_the_limit_fails_first(tmp_path, capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("cell arrays allocated before the size check")
+
+    monkeypatch.setattr(measures, "level_address_count",
+                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 3))
+    monkeypatch.setattr(measures, "renorm_products", not_reached)
+    code, out = run_cli(tmp_path, "--spec", "gasket:2", "measures", "--depth", "4")
+    assert code == 1
+    assert capsys.readouterr().err == "error: level 4 needs 243 addresses (limit 81)\n"
     assert not os.path.exists(out)
 
 
@@ -124,6 +150,23 @@ def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monke
     assert "levels 0..4, converged=false" in captured.out
     assert ("error: stopped after level 4: level 5 needs 729 addresses (limit 243)"
             in captured.err)
+
+
+def test_graph_writes_one_row_per_vertex_pair(tmp_path):
+    # three vertex pairs of this spec's level-1 graph lie in two cells each;
+    # each is written once, with the shorter of the two weights
+    path = tmp_path / "two_corner.json"
+    path.write_text(json.dumps(TWO_CORNER_FIELDS))
+    code, out = run_cli(tmp_path, "--spec", str(path), "graph", "--level", "1")
+    assert code == 0
+    rows = open(os.path.join(out, "graph_level1.csv")).read().splitlines()
+    assert rows[0] == "u,v,weight"
+    written = {(int(u), int(v)): float(w) for u, v, w in
+               (row.split(",") for row in rows[1:])}
+    assert list(written) == sorted(written) and len(written) == 9
+    spec, D, r = load_spec(str(path))
+    ctx = metrics.MetricContext(HarmonicStructure.build(spec, D, r))
+    assert written == shortest_pair_weights(ctx.level(1).lg, metrics.corner_walks(ctx, 1, 1))
 
 
 def test_certify_feasible_exit_zero(tmp_path):

@@ -192,6 +192,8 @@ ORACLE_TUPLE = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
     ("sg2_hs", ORACLE_TUPLE, CORNER, 6, 0.0),
     ("sg2_hs", None, [VertexRef((0, 1), 2), VertexRef((2, 2), 0)], 6, 0.0),
     ("sg2_hs", None, [VertexRef((), 0), VertexRef((1, 2), 1)], 9, 1e-3),
+    ("two_corner_hs", None, [VertexRef((0,), 0), VertexRef((0,), 2)], 3, 0.0),
+    ("two_corner_hs", None, [VertexRef((2, 0), 0), VertexRef((2, 0), 2)], 3, 0.0),
 ])
 def test_geodesic_converge_matches_level_dijkstra(request, hs_fixture, alphas, refs,
                                                   n_max, rtol):
@@ -247,9 +249,18 @@ def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("the level walk graph was assembled")
 
+    walk_graph = metrics._walk_graph
+
+    def corner_skeleton_only(lg, W):
+        # the references are corners: only the level-0 skeleton is walked
+        if lg.level != 0:
+            not_reached()
+        return walk_graph(lg, W)
+
     monkeypatch.setattr(metrics, "cell_boundary_values", counting_cell_values)
     monkeypatch.setattr(metrics, "edge_arrays", not_reached)
     monkeypatch.setattr(metrics, "weighted_level_graph", not_reached)
+    monkeypatch.setattr(metrics, "_walk_graph", corner_skeleton_only)
     for a, b in itertools.combinations(range(3), 2):
         hist = geodesic_converge(ctx, CORNER[a], CORNER[b], 5)
         assert [n for n, _ in hist.entries] == list(range(6))
@@ -287,6 +298,8 @@ def test_distance_matrix_parallel_identical(sg2_ctx):
     ("hexa_hs", None, 1, 4),
     ("nona_hs", None, 1, 3),
     ("sg2_hs", ORACLE_TUPLE, 2, 6),
+    ("two_corner_hs", None, 1, 1),
+    ("two_corner_hs", None, 2, 2),
 ])
 def test_distance_matrix_matches_level_dijkstra(request, hs_fixture, alphas, m, n):
     hs = request.getfixturevalue(hs_fixture)

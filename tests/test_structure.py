@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractaldist import metrics
 from fractaldist.errors import (
     FractalDistError,
     InvalidParameterError,
@@ -26,6 +27,8 @@ from fractaldist.structure import (
     lift,
     word_column,
 )
+
+from conftest import shortest_pair_weights
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +182,23 @@ def glue_spec_fields(draw):
             "fixed_letters": list(fixed), "glue": glue}
 
 
-@given(glue_spec_fields(), st.integers(1, 3))
-def test_level_builder_matches_brute_force_on_random_specs(fields, n):
+@given(glue_spec_fields(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_level_builder_matches_brute_force_on_random_specs(fields, n, seed):
     try:
         spec = FractalSpec.from_json_dict(fields)
         levels = [build_level(spec, m) for m in range(n + 1)]
     except FractalDistError:
         return
     fine = levels[n]
+    # with q >= 3 cells often share a vertex pair; the walk graph keeps the
+    # shorter of their weights
+    q = spec.boundary
+    W = np.random.default_rng(seed).uniform(0.5, 2.0, (q * (q - 1) // 2, fine.num_cells))
+    graph = metrics._walk_graph(fine, W)
+    best = shortest_pair_weights(fine, W)
+    assert graph.nnz == 2 * len(best)
+    for (u, v), w in best.items():
+        assert graph[u, v] == graph[v, u] == w
     for m, lg in enumerate(levels):
         classes = brute_force_address_classes(spec, m)
         assert lg.num_vertices == len(classes)
