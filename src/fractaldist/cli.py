@@ -208,8 +208,7 @@ def cmd_geodesic(args) -> int:
     ctx = _context(cfg)
     x = VertexRef.parse(getattr(args, "from"))
     y = VertexRef.parse(args.to)
-    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=cfg.convergence_rtol,
-                                     evict=True)
+    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=cfg.convergence_rtol)
     name = f"convergence_{_safe(x)}_{_safe(y)}.csv"
     _write(os.path.join(cfg.out_dir, name), hist.to_csv())
     print(f"estimate {hist.estimate:.17g} (last gap {hist.last_gap:.3e}, "

@@ -68,26 +68,35 @@ def default_tuple(hs: HarmonicStructure) -> HarmonicTuple:
     return HarmonicTuple(np.stack(rows))
 
 
-def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
-    """Boundary values of every component on every level-``n`` cell.
+def child_values(hs: HarmonicStructure, C: np.ndarray, s: int) -> np.ndarray:
+    """Corner values of the cells ``s`` letters below each cell of ``C``.
 
-    Returns ``C`` of shape ``[k**n, q, N]`` in big-endian cell-code order:
-    ``C[w, :, j]`` are the values of component ``j`` along the corners of cell
-    ``w``.  Built by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``.
-    The level's address count is checked first (:func:`level_address_count`):
-    a negative ``n`` raises ``ValueError`` and an oversized one
-    :class:`ResourceLimitError`, before anything is allocated.
+    ``C`` is ``[cells, q, N]``; the result is ``[cells * k**s, q, N]`` in
+    big-endian order, the ``k**s`` descendants of each cell contiguous.  Built
+    by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``.
     """
-    level_address_count(hs.spec, n)
     k = hs.spec.letters
-    C = h.alphas.T[None, :, :].astype(float)
-    for _ in range(n):
+    for _ in range(s):
         prev = C
         C = np.empty((prev.shape[0] * k, prev.shape[1], prev.shape[2]))
         view = C.reshape(prev.shape[0], k, prev.shape[1], prev.shape[2])
         for i in range(k):
             view[:, i] = hs.A[i] @ prev
     return C
+
+
+def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
+    """Boundary values of every component on every level-``n`` cell.
+
+    Returns ``C`` of shape ``[k**n, q, N]`` in big-endian cell-code order:
+    ``C[w, :, j]`` are the values of component ``j`` along the corners of cell
+    ``w``, expanded from the tuple's boundary rows by :func:`child_values`.
+    The level's address count is checked first (:func:`level_address_count`):
+    a negative ``n`` raises ``ValueError`` and an oversized one
+    :class:`ResourceLimitError`, before anything is allocated.
+    """
+    level_address_count(hs.spec, n)
+    return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 
 def cell_form(hs: HarmonicStructure, rw: np.ndarray | float, X: np.ndarray,

@@ -17,6 +17,8 @@ cell only through its corners, so the corner-to-corner lengths of the
 level-``n`` cells are reduced up the cell tree in the (min, +) semiring by a
 schedule fixed per spec (:func:`reduction_schedule`), and Dijkstra runs on
 the small graph of the references' own level, weighted by those reductions.
+The level-``n`` cells are expanded and reduced one block of subtrees at a
+time (:func:`corner_walks`), so these routes never hold a whole level.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -43,6 +45,7 @@ from .measures import (
     SlackTable,
     cell_boundary_values,
     cell_form,
+    child_values,
     check_domination,
     default_tuple,
     tuple_cell_measures,
@@ -61,17 +64,15 @@ MONOTONE_TOL = 1e-12
 
 @dataclass
 class LevelData:
-    """Cached arrays of one level, each built on its first request: each
-    cell's tuple boundary values and weight product, the vertex graph, the
-    tuple's cell measures, the weighted walk graph (see
-    :func:`weighted_level_graph`) and the reduced corner walks (see
-    :func:`corner_walks`)."""
+    """Cached arrays of one whole level, each built on its first request:
+    each cell's tuple boundary values and weight product, the vertex graph,
+    the tuple's cell measures and the weighted walk graph (see
+    :func:`weighted_level_graph`)."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
     level: int
     graph: sp.csr_matrix | None = None
-    walks: list[np.ndarray] | None = None
 
     @functools.cached_property
     def cell_values(self) -> np.ndarray:
@@ -96,7 +97,8 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations.  Each array of a level is
+    caches used by all distance computations: whole levels, and the reduced
+    corner walks of :func:`corner_walks` keyed by ``(n, m)``.  Each array is
     built on its first request.  Reads are thread-safe once built; building
     is not."""
 
@@ -105,6 +107,7 @@ class MetricContext:
         self.spec: FractalSpec = hs.spec
         self.h = h if h is not None else default_tuple(hs)
         self._levels: dict[int, LevelData] = {}
+        self._walks: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_components(self) -> int:
@@ -126,12 +129,14 @@ class MetricContext:
         return data
 
     def evict(self, n: int | None = None) -> None:
-        """Drop cached level data, graphs included (all levels when ``n`` is
-        None)."""
+        """Drop cached level data, graphs and corner walks of walk level ``n``
+        included (all levels when ``n`` is None)."""
         if n is None:
             self._levels.clear()
+            self._walks.clear()
         else:
             self._levels.pop(n, None)
+            self._walks = {key: W for key, W in self._walks.items() if key[0] != n}
 
     def vertex_id(self, ref: VertexRef, n: int) -> int:
         return self.level(n).lg.vertex_id(ref)
@@ -268,7 +273,8 @@ class ConvergenceHistory:
     """Shortest-walk values over increasing levels with the final estimate.
 
     ``stop_reason`` says why the levels ended short of both ``n_max`` and
-    the tolerance (a level past the address limit), or is None.
+    the tolerance (a level whose prefix cells are past the address limit),
+    or is None.
     """
 
     entries: list[tuple[int, float]]
@@ -288,19 +294,18 @@ class ConvergenceHistory:
 
 
 def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
-                      n_max: int, rtol: float = 1e-9, *,
-                      evict: bool = False) -> ConvergenceHistory:
+                      n_max: int, rtol: float = 1e-9) -> ConvergenceHistory:
     """Track the shortest-walk value from ``m = max(level(x), level(y))`` up to
     ``n_max`` or until the relative step falls below ``rtol``.
 
     Level ``n`` is read from the level-``m`` skeleton weighted by the reduced
     corner walks of level ``n`` (:func:`corner_walks`), by one single-source
-    Dijkstra; the level-``n`` vertex graph is never built.  Before each level
-    the address count is checked: the first level past the limit ends the
-    history there, unconverged, with the limit as its ``stop_reason`` (the
-    error is raised when even level ``m`` is past it).  With ``evict`` the
-    previous level is dropped before each new one is computed.  ``n_max``
-    below ``m`` raises ``ValueError``.
+    Dijkstra; the level-``n`` vertex graph is never built, nor are its cell
+    values held at once.  Before each level the address count of the prefix
+    level that :func:`corner_walks` holds is checked: the first level past
+    the limit ends the history there, unconverged, with the limit as its
+    ``stop_reason`` (the error is raised when even level ``m`` is past it).
+    ``n_max`` below ``m`` raises ``ValueError``.
 
     The last value is the reported estimate (a lower approximation of the
     limit); a Richardson-style extrapolation is attached for diagnostics only.
@@ -314,15 +319,14 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     monotone = True
     stop_reason = None
     for n in range(n0, n_max + 1):
+        p = _prefix_level(ctx.spec.letters, n, n0)
         try:
-            level_address_count(ctx.spec, n)
+            level_address_count(ctx.spec, p)
         except ResourceLimitError as exc:
             if not entries:
                 raise
-            stop_reason = str(exc)
+            stop_reason = f"level {n} is streamed from level {p}: {exc}"
             break
-        if evict:
-            ctx.evict(n - 1)
         graph = _walk_graph(src_lg, corner_walks(ctx, n, n0))
         value = float(_dijkstra(graph, src)[dst])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
@@ -542,6 +546,9 @@ def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
 # parents closed at once by _reduce_cells: its [slots, parents] work array
 # stays at 2**18 entries (2 MiB), which keeps the row operations in cache
 _REDUCE_BLOCK_ENTRIES = 1 << 18
+# leaf cells expanded at once by corner_walks: a block's [cells, q, N] values
+# and [pairs, cells] lengths stay at a few MiB, whatever the walk level
+_STREAM_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -643,29 +650,56 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     return out
 
 
+def _prefix_level(k: int, n: int, m: int) -> int:
+    """Level ``p`` whose cells :func:`corner_walks` expands to level ``n``:
+    ``n - s`` for the deepest ``s <= n - m`` with ``k**s`` leaves at most
+    ``_STREAM_BLOCK_CELLS``."""
+    s = 0
+    while s < n - m and k ** (s + 1) <= _STREAM_BLOCK_CELLS:
+        s += 1
+    return n - s
+
+
 def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     """Shortest level-``n`` walk inside each level-``m`` cell between its
     corners, as a ``[pairs, k**m]`` table (pairs and cells ordered as in
     :func:`_reduce_cells`), for ``0 <= m <= n``.
 
-    At ``m == n`` these are the embedded corner-to-corner lengths.  The
-    coarser tables are reduced from them up the cell tree on the first
-    request and kept, the whole chain, on the level's :class:`LevelData`
-    until ``ctx.evict(n)``.
+    At ``m == n`` these are the embedded corner-to-corner lengths of the
+    whole level.  Below, level ``n`` is streamed: the values of the cells of
+    the prefix level ``p`` (:func:`_prefix_level`) are built once, and each
+    block of them is expanded by ``n - p`` letters (:func:`child_values`),
+    measured and reduced back to level ``p``, so no more than one block of
+    level-``n`` cells is held.  The level-``p`` table is then reduced to
+    level ``m``.  Each cell's arithmetic is that of the whole level, so the
+    bits do not depend on the blocks.  The result is cached on the context,
+    keyed by ``(n, m)``.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")
-    data = ctx.level(n)
     if m == n:
-        return _corner_lengths(data.cell_values)
-    if data.walks is None:
-        W = _corner_lengths(data.cell_values)
-        chain = []
-        for _ in range(n):
-            W = _reduce_cells(W, ctx.schedule)
-            chain.append(W)
-        data.walks = chain[::-1]
-    return data.walks[m]
+        return _corner_lengths(ctx.level(n).cell_values)
+    W = ctx._walks.get((n, m))
+    if W is None:
+        W = ctx._walks[(n, m)] = _streamed_walks(ctx, n, m)
+    return W
+
+
+def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
+    """The reduction of :func:`corner_walks` below the walk level."""
+    p = _prefix_level(ctx.spec.letters, n, m)
+    prefixes = cell_boundary_values(ctx.hs, ctx.h, p)
+    q = ctx.spec.boundary
+    block = max(1, _STREAM_BLOCK_CELLS // ctx.spec.letters ** (n - p))
+    W = np.empty((q * (q - 1) // 2, len(prefixes)))
+    for start in range(0, len(prefixes), block):
+        part = _corner_lengths(child_values(ctx.hs, prefixes[start:start + block], n - p))
+        for _ in range(n - p):
+            part = _reduce_cells(part, ctx.schedule)
+        W[:, start:start + block] = part
+    for _ in range(p - m):
+        W = _reduce_cells(W, ctx.schedule)
+    return W
 
 
 _WORKER_GRAPH: sp.csr_matrix | None = None
@@ -693,7 +727,8 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     level-``m`` cell: the shortest walk between those corners inside the
     cell, read from the level's reduced corner walks (:func:`corner_walks`,
     which :func:`geodesic_converge` reads too).  Dijkstra then runs on the
-    source-level skeleton.
+    source-level skeleton.  The address count of level ``n`` is checked
+    first: the streamed reduction holds little, but its time grows with it.
 
     With ``workers > 1`` the sources are split into contiguous chunks handled
     by forked worker processes; each source's run is independent, so the
@@ -701,6 +736,7 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     """
     if n < source_level:
         raise ValueError("graph level must be at least the source level")
+    level_address_count(ctx.spec, n)
     W = corner_walks(ctx, n, source_level)
     src_lg = build_level(ctx.spec, source_level)
     graph = _walk_graph(src_lg, W)

@@ -139,17 +139,19 @@ def test_geodesic_identical_canonical_ids(tmp_path, capsys):
 def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(metrics, "level_address_count",
                         lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    # nine leaf cells per block: level n is streamed from level n - 2
+    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", 9)
     code, out = run_cli(tmp_path, "--spec", "gasket:2", "geodesic",
                         "--from=-:0", "--to=-:1", "--nmax", "8")
     assert code == 1
     with open(os.path.join(out, "convergence_-_0_-_1.csv")) as fh:
         rows = fh.read().splitlines()
     assert rows[0] == "level,value"
-    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4"]
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5", "6"]
     captured = capsys.readouterr()
-    assert "levels 0..4, converged=false" in captured.out
-    assert ("error: stopped after level 4: level 5 needs 729 addresses (limit 243)"
-            in captured.err)
+    assert "levels 0..6, converged=false" in captured.out
+    assert ("error: stopped after level 6: level 7 is streamed from level 5: "
+            "level 5 needs 729 addresses (limit 243)" in captured.err)
 
 
 def test_graph_writes_one_row_per_vertex_pair(tmp_path):

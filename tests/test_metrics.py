@@ -1,18 +1,22 @@
 """Walk metrics, convergence, certificates, estimates, embeddings."""
 
+import functools
 import itertools
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from fractaldist import metrics
 from fractaldist.errors import FractalDistError, ResourceLimitError
-from fractaldist.measures import HarmonicTuple
+from fractaldist.harmonic import HarmonicStructure
+from fractaldist.measures import HarmonicTuple, cell_boundary_values
 from fractaldist.metrics import (
     MetricContext,
     default_cap,
@@ -161,24 +165,18 @@ def test_geodesic_converge_rtol_stop(sg2_ctx):
     assert hist.entries[-1][0] < 9
 
 
-def test_geodesic_converge_evict_keeps_last_level(sg2_hs, monkeypatch):
-    kept = MetricContext(sg2_hs)
-    evicting = MetricContext(sg2_hs)
-    hist = geodesic_converge(kept, CORNER[0], CORNER[1], 6)
-    held_at_build = []
-    cell_values = metrics.cell_boundary_values
-
-    def recording_cell_values(hs, h, n):
-        held_at_build.append(sorted(set(evicting._levels) - {n}))
-        return cell_values(hs, h, n)
-
-    monkeypatch.setattr(metrics, "cell_boundary_values", recording_cell_values)
-    hist_evict = geodesic_converge(evicting, CORNER[0], CORNER[1], 6, evict=True)
-    assert hist_evict.entries == hist.entries
-    assert sorted(kept._levels) == list(range(7))
-    assert list(evicting._levels) == [6]
-    # each level is built with no other level held, so at most one is alive
-    assert held_at_build == [[]] * 7
+def test_geodesic_converge_holds_less_than_a_level(sg3_hs):
+    ctx = MetricContext(sg3_hs)
+    # one level-7 [k**n, q, N] table of cell values: 13.4 MB
+    level_table = 6 ** 7 * 3 * ctx.n_components * 8
+    tracemalloc.start()
+    try:
+        hist = geodesic_converge(ctx, CORNER[0], CORNER[1], 7, rtol=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.entries[-1][0] == 7
+    assert peak < level_table
 
 
 ORACLE_TUPLE = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -1.0, 2.0]])
@@ -215,12 +213,16 @@ def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
     full = geodesic_converge(MetricContext(sg2_hs), CORNER[0], CORNER[1], 8, rtol=0.0)
     monkeypatch.setattr(metrics, "level_address_count",
                         lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    # nine leaf cells per block: level n is streamed from level n - 2
+    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", 9)
     ctx = MetricContext(sg2_hs)
-    hist = geodesic_converge(ctx, CORNER[0], CORNER[1], 8, rtol=0.0, evict=True)
-    assert hist.entries == full.entries[:5]
+    hist = geodesic_converge(ctx, CORNER[0], CORNER[1], 8, rtol=0.0)
+    assert hist.entries == full.entries[:7]
     assert not hist.converged
-    assert hist.stop_reason == "level 5 needs 729 addresses (limit 243)"
-    assert list(ctx._levels) == [4]
+    assert hist.stop_reason == ("level 7 is streamed from level 5: "
+                                "level 5 needs 729 addresses (limit 243)")
+    # only the references' own level is held whole
+    assert list(ctx._levels) == [0]
     # with no level affordable there is no history to return
     with pytest.raises(ResourceLimitError):
         geodesic_converge(ctx, VertexRef((0,) * 5, 0), CORNER[1], 8)
@@ -240,11 +242,11 @@ def test_level_graph_cached_until_evicted(sg2_hs):
 def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     ctx = MetricContext(sg2_hs)
     calls = []
-    cell_values = metrics.cell_boundary_values
+    streamed_walks = metrics._streamed_walks
 
-    def counting_cell_values(hs, h, n):
+    def counting_streamed_walks(context, n, m):
         calls.append(n)
-        return cell_values(hs, h, n)
+        return streamed_walks(context, n, m)
 
     def not_reached(*args, **kwargs):
         raise AssertionError("the level walk graph was assembled")
@@ -257,14 +259,16 @@ def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
             not_reached()
         return walk_graph(lg, W)
 
-    monkeypatch.setattr(metrics, "cell_boundary_values", counting_cell_values)
+    monkeypatch.setattr(metrics, "_streamed_walks", counting_streamed_walks)
     monkeypatch.setattr(metrics, "edge_arrays", not_reached)
     monkeypatch.setattr(metrics, "weighted_level_graph", not_reached)
     monkeypatch.setattr(metrics, "_walk_graph", corner_skeleton_only)
     for a, b in itertools.combinations(range(3), 2):
         hist = geodesic_converge(ctx, CORNER[a], CORNER[b], 5)
         assert [n for n, _ in hist.entries] == list(range(6))
-    assert sorted(calls) == list(range(6))
+    # level 0 is the references' own, read whole; every deeper level is
+    # streamed once and its table shared by the three pairs
+    assert sorted(calls) == list(range(1, 6))
 
 
 def test_quasi_metric_laws(sg2_ctx):
@@ -372,6 +376,35 @@ def test_reduce_cells_blocks_identical(name, monkeypatch):
     # two parents per block: seven parents run in four blocks
     monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * schedule.slots)
     assert np.array_equal(metrics._reduce_cells(W, schedule), whole)
+
+
+@functools.cache
+def builtin_hs(name):
+    kind, param = name.split(":")
+    return HarmonicStructure.build(generate_spec(kind, int(param)))
+
+
+@pytest.mark.parametrize("name", ["gasket:2", "gasket:3", "polygasket:6", "polygasket:9"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_corner_walks_stream_matches_whole_level(name, data):
+    hs = builtin_hs(name)
+    k, q = hs.spec.letters, hs.spec.boundary
+    # at most 1296 cells, so that one-cell blocks stay cheap
+    n = data.draw(st.integers(0, max(n for n in range(7) if k ** n <= 1296)))
+    alphas = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), q),
+                              elements=st.floats(-10, 10, allow_subnormal=False)))
+    assume(np.ptp(alphas, axis=1).max() > 1e-12)
+    # blocks of one cell up to one block per level: several s and p, and
+    # blocks of several prefixes
+    chunk = data.draw(st.integers(1, 3)) * k ** data.draw(st.integers(0, n))
+    ctx = MetricContext(hs, HarmonicTuple(alphas))
+    whole = [metrics._corner_lengths(cell_boundary_values(hs, ctx.h, n))]
+    for _ in range(n):
+        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule))
+    with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk):
+        for m in range(n + 1):
+            assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
 
 
 def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):
