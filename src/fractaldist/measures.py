@@ -73,16 +73,29 @@ def child_values(hs: HarmonicStructure, C: np.ndarray, s: int) -> np.ndarray:
 
     ``C`` is ``[cells, q, N]``; the result is ``[cells * k**s, q, N]`` in
     big-endian order, the ``k**s`` descendants of each cell contiguous.  Built
-    by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``.
+    by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``, run on
+    a cells-last ``[q, N, P]`` array ``T``: each letter is one matrix product
+    ``A_i @ T.reshape(q, N * P)`` over all ``P`` cells at once, written to
+    slot ``i`` of a ``[q, N, P, k]`` array that becomes ``[q, N, P * k]``.
+    The result is a ``[cells, q, N]`` view of that array, so each
+    ``result[:, a, j]`` is a contiguous row.  A product with one column would
+    be computed by numpy as a matrix-vector product, whose rounding differs
+    from the matrix-matrix one, so it is padded to two columns: every cell
+    then gets the same bits whichever block of cells it is expanded in.
     """
     k = hs.spec.letters
+    q, N = C.shape[1], C.shape[2]
+    T = np.ascontiguousarray(C.transpose(1, 2, 0))
     for _ in range(s):
-        prev = C
-        C = np.empty((prev.shape[0] * k, prev.shape[1], prev.shape[2]))
-        view = C.reshape(prev.shape[0], k, prev.shape[1], prev.shape[2])
+        P = T.shape[2]
+        flat = T.reshape(q, N * P)
+        if N * P == 1:
+            flat = np.repeat(flat, 2, axis=1)
+        out = np.empty((q, N, P, k))
         for i in range(k):
-            view[:, i] = hs.A[i] @ prev
-    return C
+            out[..., i] = (hs.A[i] @ flat)[:, :N * P].reshape(q, N, P)
+        T = out.reshape(q, N, P * k)
+    return T.transpose(2, 0, 1)
 
 
 def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
@@ -90,7 +103,9 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
 
     Returns ``C`` of shape ``[k**n, q, N]`` in big-endian cell-code order:
     ``C[w, :, j]`` are the values of component ``j`` along the corners of cell
-    ``w``, expanded from the tuple's boundary rows by :func:`child_values`.
+    ``w``, expanded from the tuple's boundary rows by :func:`child_values`
+    with one matrix product per letter.  ``C`` is a view of a cells-last
+    ``[q, N, k**n]`` array: ``C[:, a, j]`` is contiguous, ``C[w]`` is not.
     The level's address count is checked first (:func:`level_address_count`):
     a negative ``n`` raises ``ValueError`` and an oversized one
     :class:`ResourceLimitError`, before anything is allocated.

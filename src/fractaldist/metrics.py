@@ -144,12 +144,14 @@ class MetricContext:
     def coords(self, n: int) -> np.ndarray:
         """Embedding coordinates of every level-``n`` vertex, shape [nv, N].
 
-        Scatter of the per-cell values; identified corners receive identical
-        values, making the table independent of the scatter order.
+        Scatter of the per-cell values, one corner at a time; identified
+        corners receive identical values, making the table independent of the
+        scatter order.
         """
         data = self.level(n)
         T = np.empty((data.lg.num_vertices, self.n_components))
-        T[data.lg.cells.reshape(-1)] = data.cell_values.reshape(-1, self.n_components)
+        for a in range(data.lg.cells.shape[1]):
+            T[data.lg.cells[:, a]] = data.cell_values[:, a]
         return T
 
     def coord_of(self, ref: VertexRef) -> np.ndarray:
@@ -167,7 +169,9 @@ def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
     lengths = np.zeros((len(a), cell_values.shape[0]))
     for sq, i, j in zip(lengths, a, b):
         # one component at a time: the squares are added in the order a sum
-        # over the component axis adds them, without a [cells, N] temporary
+        # over the component axis adds them, without a [cells, N] temporary;
+        # each cell_values[:, i, c] is a contiguous row of child_values'
+        # cells-last array
         for c in range(cell_values.shape[2]):
             diff = cell_values[:, i, c] - cell_values[:, j, c]
             sq += diff * diff

@@ -10,13 +10,14 @@ from fractaldist.measures import (
     cell_boundary_values,
     cell_measure_table,
     check_domination,
+    child_values,
     default_tuple,
     harmonic_cell_measure,
     piecewise_cell_measure,
     trace_coefficients,
     tuple_cell_measures,
 )
-from fractaldist.structure import VertexRef, build_level
+from fractaldist.structure import VertexRef, build_level, decode_word
 
 from conftest import UNIT_TRIANGLE_D
 
@@ -207,6 +208,44 @@ def test_cell_boundary_values_layout(sg2_ctx):
                 expected = harmonic_eval(hs, sg2_ctx.h.alphas[j],
                                          VertexRef(word, corner))
                 assert abs(C[code, corner, j] - expected) < 1e-12
+
+
+BUILTIN_HS = ["sg2_hs", "sg3_hs", "hexa_hs", "nona_hs"]
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+@pytest.mark.parametrize("fixture", BUILTIN_HS)
+def test_child_values_independent_of_block(request, fixture, n_components):
+    # one-cell blocks of a one-component tuple expand a single column at
+    # their first letter, the whole level many: the bits must still agree
+    hs = request.getfixturevalue(fixture)
+    k = hs.spec.letters
+    rng = np.random.default_rng(30 + n_components)
+    h = HarmonicTuple(rng.normal(size=(n_components, hs.spec.boundary)))
+    for p, s in [(0, 3), (1, 2), (2, 1)]:
+        prefixes = cell_boundary_values(hs, h, p)
+        whole = child_values(hs, prefixes, s)
+        assert np.array_equal(whole, cell_boundary_values(hs, h, p + s))
+        for size in (1, 2, k):
+            parts = [child_values(hs, prefixes[i:i + size], s)
+                     for i in range(0, len(prefixes), size)]
+            assert np.array_equal(np.concatenate(parts), whole), (p, size)
+
+
+@pytest.mark.parametrize("fixture", BUILTIN_HS)
+def test_cell_boundary_values_match_values_on_cell(request, fixture):
+    hs = request.getfixturevalue(fixture)
+    k = hs.spec.letters
+    rng = np.random.default_rng(40)
+    for n_components in (1, 2, 3):
+        h = HarmonicTuple(rng.normal(size=(n_components, hs.spec.boundary)))
+        for n in (0, 1, 2, 3, 5):
+            C = cell_boundary_values(hs, h, n)
+            assert C.shape == (k ** n, hs.spec.boundary, n_components)
+            codes = {0, k ** n - 1, *rng.integers(0, k ** n, size=6).tolist()}
+            for code in sorted(codes):
+                expected = hs.values_on_cell(decode_word(code, n, k), h.alphas.T)
+                assert np.max(np.abs(C[code] - expected)) < 1e-12, (n, code)
 
 
 def test_default_tuple_orthonormal(sg2_hs, hexa_hs):
