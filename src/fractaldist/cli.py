@@ -14,17 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
 from .errors import FractalDistError, SpecValidationError
-from .harmonic import (
-    HarmonicStructure,
-    check_structure_conditions,
-    default_boundary_matrix,
-)
+from .harmonic import HarmonicStructure, check_structure_conditions
 from .measures import HarmonicTuple, cell_measure_table, default_tuple
 from .structure import FractalSpec, VertexRef, generate_spec, row_blocks, vertex_rows
 
@@ -38,20 +33,6 @@ _BUILTIN_ALIASES = {
     "hexagasket": ("polygasket", 6),
     "nonagasket": ("polygasket", 9),
 }
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run configuration (no environment-dependent defaults)."""
-
-    spec_source: str
-    out_dir: str = "out"
-    tuple_spec: str = "default"
-    feasibility_rtol: float = 1e-9
-    convergence_rtol: float = 1e-9
-    spec: FractalSpec | None = None
-    D: np.ndarray | None = None
-    r: np.ndarray | None = None
 
 
 def parse_builtin(name: str):
@@ -109,26 +90,12 @@ def save_spec(path: str, spec: FractalSpec, D: np.ndarray | None = None,
         fh.write("\n")
 
 
-def resolve_config(args) -> RunConfig:
-    cfg = RunConfig(spec_source=args.spec, out_dir=args.out,
-                    tuple_spec=getattr(args, "tuple", "default") or "default",
-                    feasibility_rtol=getattr(args, "feasibility_tol", 1e-9),
-                    convergence_rtol=getattr(args, "convergence_rtol", 1e-9))
-    source = args.spec
+def load_structure(source: str) -> HarmonicStructure:
+    """Harmonic structure of ``--spec``: a spec file (an existing path or a
+    ``.json`` name, see :func:`load_spec`) or a builtin name."""
     if os.path.exists(source) or source.endswith(".json"):
-        spec, D, r = load_spec(source)
-    else:
-        kind, param = parse_builtin(source)
-        spec = generate_spec(kind, param)
-        D, r = None, None
-    cfg.spec = spec
-    cfg.D = D if D is not None else default_boundary_matrix(spec.boundary)
-    cfg.r = r
-    return cfg
-
-
-def build_structure(cfg: RunConfig) -> HarmonicStructure:
-    return HarmonicStructure.build(cfg.spec, cfg.D, cfg.r)
+        return HarmonicStructure.build(*load_spec(source))
+    return HarmonicStructure.build(generate_spec(*parse_builtin(source)))
 
 
 def parse_tuple(hs: HarmonicStructure, text: str) -> HarmonicTuple:
@@ -165,9 +132,16 @@ def _write(path: str, text: str, lines=()) -> None:
         fh.writelines(lines)
 
 
-def _context(cfg: RunConfig) -> metrics.MetricContext:
-    hs = build_structure(cfg)
-    return metrics.MetricContext(hs, parse_tuple(hs, cfg.tuple_spec))
+def _json_text(fields) -> str:
+    """A flat JSON object, one ``"key": value`` line per ``(key, value)``
+    pair in the given order; each value is already formatted."""
+    body = ",\n".join(f"  \"{key}\": {value}" for key, value in fields)
+    return "{\n" + body + "\n}\n"
+
+
+def _context(args) -> metrics.MetricContext:
+    hs = load_structure(args.spec)
+    return metrics.MetricContext(hs, parse_tuple(hs, args.tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +149,20 @@ def _context(cfg: RunConfig) -> metrics.MetricContext:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    cfg = resolve_config(args)
-    hs = build_structure(cfg)
+    hs = load_structure(args.spec)
     report = check_structure_conditions(hs)
-    lines = [f"spec: {cfg.spec.name} (cells={cfg.spec.letters}, boundary={cfg.spec.boundary})",
+    lines = [f"spec: {hs.spec.name} (cells={hs.spec.letters}, boundary={hs.spec.boundary})",
              f"weights r: {np.array2string(hs.r, precision=12)}"]
     lines += report.lines()
     lines.append("overall: " + ("pass" if report.ok else "FAIL"))
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    _write(os.path.join(cfg.out_dir, "check_report.txt"), text)
+    _write(os.path.join(args.out, "check_report.txt"), text)
     return EXIT_OK if report.ok else EXIT_FAILED_CHECK
 
 
 def cmd_graph(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     # the upper triangle of the sorted CSR, one row per vertex pair by (u, v)
     graph = metrics.weighted_level_graph(ctx, args.level).tocoo()
     upper = graph.row < graph.col
@@ -198,19 +170,18 @@ def cmd_graph(args) -> int:
     rows = ("".join([f"{a},{b},{x:.17g}\n" for a, b, x in
                      zip(lo[s].tolist(), hi[s].tolist(), w[s].tolist())])
             for s in row_blocks(len(w)))
-    _write(os.path.join(cfg.out_dir, f"graph_level{args.level}.csv"), "u,v,weight\n", rows)
+    _write(os.path.join(args.out, f"graph_level{args.level}.csv"), "u,v,weight\n", rows)
     print(f"level {args.level}: {graph.shape[0]} vertices, {len(w)} edges")
     return EXIT_OK
 
 
 def cmd_geodesic(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     x = VertexRef.parse(getattr(args, "from"))
     y = VertexRef.parse(args.to)
-    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=cfg.convergence_rtol)
+    hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=args.convergence_rtol)
     name = f"convergence_{_safe(x)}_{_safe(y)}.csv"
-    _write(os.path.join(cfg.out_dir, name), hist.to_csv())
+    _write(os.path.join(args.out, name), hist.to_csv())
     print(f"estimate {hist.estimate:.17g} (last gap {hist.last_gap:.3e}, "
           f"levels {hist.entries[0][0]}..{hist.entries[-1][0]}, "
           f"converged={str(hist.converged).lower()})")
@@ -222,26 +193,33 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     x = VertexRef.parse(getattr(args, "from"))
     phi = metrics.geodesic_profile(ctx, x, args.level)
-    _write(os.path.join(cfg.out_dir, f"profile_{_safe(x)}_level{args.level}.csv"),
+    _write(os.path.join(args.out, f"profile_{_safe(x)}_level{args.level}.csv"),
            "id,word,label,value\n", vertex_rows(ctx.level(args.level).lg, phi))
     print(f"profile from {x} at level {args.level}: max {phi.max():.17g}")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     x = VertexRef.parse(getattr(args, "from"))
     y = VertexRef.parse(args.to)
     cert = metrics.intrinsic_certificate(ctx, x, y, args.level, cap=args.cap,
-                                         tolerance=cfg.feasibility_rtol)
+                                         tolerance=args.feasibility_tol)
     stem = f"certificate_{_safe(x)}_{_safe(y)}_level{args.level}"
-    _write(os.path.join(cfg.out_dir, stem + ".json"), cert.to_json_text())
-    _write(os.path.join(cfg.out_dir, stem + "_slack.csv"), cert.slack.to_csv())
+    _write(os.path.join(args.out, stem + ".json"), _json_text([
+        ("level", str(cert.level)),
+        ("cap", f"{cert.cap:.17g}"),
+        ("value", f"{cert.certified_value:.17g}"),
+        ("min_slack", f"{cert.slack.min_slack:.17g}"),
+        ("checked_depth", str(cert.slack.checked_depth)),
+        ("feasible", str(cert.feasible).lower()),
+        ("from", f"\"{x}\""),
+        ("to", f"\"{y}\""),
+    ]))
+    _write(os.path.join(args.out, stem + "_slack.csv"), cert.slack.to_csv())
     print(f"certified lower bound {cert.certified_value:.17g} "
           f"(cap {cert.cap:.17g}, min slack {cert.slack.min_slack:.3e}, "
           f"feasible={str(cert.feasible).lower()})")
@@ -249,44 +227,38 @@ def cmd_certify(args) -> int:
 
 
 def cmd_intrinsic(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     x = VertexRef.parse(getattr(args, "from"))
     y = VertexRef.parse(args.to)
     est = metrics.intrinsic_estimate(ctx, x, y, args.level, budget=args.budget)
     stem = f"intrinsic_{_safe(x)}_{_safe(y)}_level{args.level}"
-    body = (
-        "{\n"
-        f"  \"level\": {args.level},\n"
-        f"  \"value\": {est.value:.17g},\n"
-        f"  \"certificate_value\": {est.certificate_value:.17g},\n"
-        f"  \"iterations\": {est.iterations},\n"
-        f"  \"converged\": {str(est.converged).lower()},\n"
-        f"  \"constraint_depth\": {est.constraint_depth}\n"
-        "}\n"
-    )
-    _write(os.path.join(cfg.out_dir, stem + ".json"), body)
+    _write(os.path.join(args.out, stem + ".json"), _json_text([
+        ("level", str(args.level)),
+        ("value", f"{est.value:.17g}"),
+        ("certificate_value", f"{est.certificate_value:.17g}"),
+        ("iterations", str(est.iterations)),
+        ("converged", str(est.converged).lower()),
+        ("constraint_depth", str(est.constraint_depth)),
+    ]))
     print(f"intrinsic estimate {est.value:.17g} "
           f"(certificate {est.certificate_value:.17g}, {est.iterations} iterations)")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    cfg = resolve_config(args)
-    ctx = _context(cfg)
+    ctx = _context(args)
     table = metrics.embedding_table(ctx, args.level)
-    _write(os.path.join(cfg.out_dir, f"embedding_level{args.level}.csv"), table.to_csv())
+    _write(os.path.join(args.out, f"embedding_level{args.level}.csv"), table.to_csv())
     print(f"embedded {len(table.coords)} vertices at level {args.level} "
           f"into R^{ctx.n_components}")
     return EXIT_OK
 
 
 def cmd_measures(args) -> int:
-    cfg = resolve_config(args)
-    hs = build_structure(cfg)
-    h = parse_tuple(hs, cfg.tuple_spec)
+    hs = load_structure(args.spec)
+    h = parse_tuple(hs, args.tuple)
     table = cell_measure_table(hs, h, args.depth)
-    _write(os.path.join(cfg.out_dir, f"measures_depth{args.depth}.csv"), table.to_csv())
+    _write(os.path.join(args.out, f"measures_depth{args.depth}.csv"), table.to_csv())
     print(f"total measure {table.value(()):.17g} tabulated to depth {args.depth}")
     return EXIT_OK
 

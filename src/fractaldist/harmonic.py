@@ -161,12 +161,17 @@ def trace_form(M, keep: np.ndarray):
     return traced, extend
 
 
+def _one_cell_trace(spec: FractalSpec, D: np.ndarray, cell_weights):
+    """The level-1 form of ``spec`` (cell ``i`` weighted by ``cell_weights[i]``)
+    traced onto its boundary: ``(lg, traced, extend)``, as :func:`trace_form`."""
+    lg = build_level(spec, 1)
+    M = assemble_discrete_form(D, cell_weights, lg)
+    return (lg, *trace_form(M, np.array(lg.boundary_ids)))
+
+
 def check_regularity(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> float:
     """Max-norm residual between the traced one-level form and ``-D``."""
-    lg = build_level(spec, 1)
-    rw = np.asarray(r, dtype=float)
-    M = assemble_discrete_form(D, 1.0 / rw, lg)
-    traced, _ = trace_form(M, np.array(lg.boundary_ids))
+    _, traced, _ = _one_cell_trace(spec, D, 1.0 / np.asarray(r, dtype=float))
     return float(np.max(np.abs(traced - (-np.asarray(D, dtype=float)))))
 
 
@@ -179,9 +184,7 @@ def solve_equal_renormalization(spec: FractalSpec, D: np.ndarray) -> float:
     from proportionality.
     """
     D = np.asarray(D, dtype=float)
-    lg = build_level(spec, 1)
-    M = assemble_discrete_form(D, np.ones(lg.num_cells), lg)
-    traced, _ = trace_form(M, np.array(lg.boundary_ids))
+    _, traced, _ = _one_cell_trace(spec, D, np.ones(spec.letters))
     target = -D
     num = float(np.sum(traced * target))
     den = float(np.sum(target * target))
@@ -204,12 +207,8 @@ def extension_matrices(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> np.nd
     Row ``b`` of ``A[i]`` holds the coefficients expressing the value of the
     energy-minimizing one-level extension at corner ``b`` of cell ``i``.
     """
-    lg = build_level(spec, 1)
-    rw = np.asarray(r, dtype=float)
-    M = assemble_discrete_form(D, 1.0 / rw, lg)
-    q = spec.boundary
-    _, extend = trace_form(M, np.array(lg.boundary_ids))
-    U = np.stack([extend(col) for col in np.eye(q).T], axis=1)  # [nv, q]
+    lg, _, extend = _one_cell_trace(spec, D, 1.0 / np.asarray(r, dtype=float))
+    U = np.stack([extend(col) for col in np.eye(spec.boundary).T], axis=1)  # [nv, q]
     return np.stack([U[lg.cells[i]] for i in range(spec.letters)])
 
 

@@ -309,7 +309,8 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     level that :func:`corner_walks` holds is checked: the first level past
     the limit ends the history there, unconverged, with the limit as its
     ``stop_reason`` (the error is raised when even level ``m`` is past it).
-    ``n_max`` below ``m`` raises ``ValueError``.
+    ``n_max`` below ``m``, or an ``rtol`` that is negative or not finite,
+    raises ``ValueError``.
 
     The last value is the reported estimate (a lower approximation of the
     limit); a Richardson-style extrapolation is attached for diagnostics only.
@@ -317,6 +318,8 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     n0 = max(x.level, y.level)
     if n_max < n0:
         raise ValueError(f"n_max {n_max} is below the references' level {n0}")
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
     src_lg = build_level(ctx.spec, n0)
     src, dst = src_lg.vertex_id(x), src_lg.vertex_id(y)
     entries: list[tuple[int, float]] = []
@@ -382,26 +385,10 @@ class Certificate:
     values: np.ndarray
     slack: SlackTable
     certified_value: float
-    x: VertexRef
-    y: VertexRef
 
     @property
     def feasible(self) -> bool:
         return self.slack.feasible
-
-    def to_json_text(self) -> str:
-        fields = [
-            ("level", str(self.level)),
-            ("cap", f"{self.cap:.17g}"),
-            ("value", f"{self.certified_value:.17g}"),
-            ("min_slack", f"{self.slack.min_slack:.17g}"),
-            ("checked_depth", str(self.slack.checked_depth)),
-            ("feasible", "true" if self.feasible else "false"),
-            ("from", f"\"{self.x}\""),
-            ("to", f"\"{self.y}\""),
-        ]
-        body = ",\n".join(f"  \"{k}\": {v}" for k, v in fields)
-        return "{\n" + body + "\n}\n"
 
 
 def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
@@ -411,7 +398,11 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
     and check cell domination at every depth up to ``n``.
 
     The certified value is ``min(shortest-walk(x, y), cap)`` by construction.
+    A ``tolerance`` or ``cap`` that is negative or not finite raises
+    ``ValueError``.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if cap is None:
         cap = default_cap(ctx)
     if not 0 <= cap < math.inf:
@@ -422,7 +413,7 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
     slack = check_domination(ctx.hs, data.lg, f, data.mu, tolerance=tolerance)
     x_id = ctx.vertex_id(x, n)
     y_id = ctx.vertex_id(y, n)
-    return Certificate(n, float(cap), f, slack, float(f[y_id] - f[x_id]), x, y)
+    return Certificate(n, float(cap), f, slack, float(f[y_id] - f[x_id]))
 
 
 @dataclass

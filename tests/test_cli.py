@@ -104,7 +104,12 @@ def test_bad_vertex_ref_is_usage_error(tmp_path, capsys, command):
     ["measures", "--depth", "-1"],
     ["certify", "--from=-:0", "--to=-:1", "--level", "2", "--cap", "nan"],
     ["certify", "--from=-:0", "--to=-:1", "--level", "2", "--cap", "inf"],
-], ids=["negative-depth", "nan-cap", "infinite-cap"])
+    ["--feasibility-tol", "nan", "certify", "--from=-:0", "--to=-:1", "--level", "2"],
+    ["--feasibility-tol", "-1", "certify", "--from=-:0", "--to=-:1", "--level", "2"],
+    ["--convergence-rtol", "nan", "geodesic", "--from=-:0", "--to=-:1", "--nmax", "3"],
+    ["--convergence-rtol", "-1", "geodesic", "--from=-:0", "--to=-:1", "--nmax", "3"],
+], ids=["negative-depth", "nan-cap", "infinite-cap", "nan-feasibility-tol",
+        "negative-feasibility-tol", "nan-convergence-rtol", "negative-convergence-rtol"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(tmp_path, capsys, command)
 
@@ -134,6 +139,18 @@ def test_geodesic_identical_canonical_ids(tmp_path, capsys):
                       "--from=0:1", "--to=1:0", "--nmax", "3")
     assert code == 0
     assert "estimate 0 " in capsys.readouterr().out
+
+
+def test_convergence_rtol_flag_stops_the_levels(tmp_path, capsys):
+    # the golden history's relative gap is 2.9e-3 from level 2 to 3 and
+    # 7.1e-4 from level 3 to 4, so rtol 1e-3 stops at level 4
+    code, out = run_cli(tmp_path, "--spec", "gasket:2", "--convergence-rtol", "1e-3",
+                        "geodesic", "--from=-:0", "--to=-:1", "--nmax", "8")
+    assert code == 0
+    with open(os.path.join(out, "convergence_-_0_-_1.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4"]
+    assert "levels 0..4, converged=true" in capsys.readouterr().out
 
 
 def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monkeypatch):
@@ -179,6 +196,16 @@ def test_certify_feasible_exit_zero(tmp_path):
         out, "certificate_-_0_-_1_level4.json")).read())
     assert cert["feasible"] is True
     assert cert["checked_depth"] == 4
+
+
+def test_feasibility_tol_flag_reaches_the_check(tmp_path, capsys):
+    # the hexagasket's level-3 certificate has a min slack of -1.6e-14:
+    # feasible at the default relative tolerance 1e-9, infeasible at 0
+    command = ["certify", "--from=-:0", "--to=-:1", "--level", "3"]
+    assert run_cli(tmp_path, "--spec", "hexagasket", *command)[0] == 0
+    code, _ = run_cli(tmp_path, "--spec", "hexagasket", "--feasibility-tol", "0", *command)
+    assert code == 1
+    assert "feasible=false" in capsys.readouterr().out
 
 
 def test_tuple_flag_parses(tmp_path):

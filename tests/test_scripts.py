@@ -1,10 +1,13 @@
 """The scripts under ``scripts/`` run end to end."""
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from conftest import TWO_CORNER_FIELDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,14 +20,19 @@ def run_script(name, *args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("name, table, header", [
-    ("convergence_study.py", "convergence_gasket_2.csv", "pair,level,value,gap"),
-    ("certificate_sweep.py", "certificate_sweep_gasket_2.csv",
-     "level,source,value,min_slack_rel,feasible"),
-])
-def test_script_runs(tmp_path, name, table, header):
-    result = run_script(name, "--nmax", "2", "--out", str(tmp_path / "results"),
-                        cwd=tmp_path)
+@pytest.mark.parametrize("spec, table", [
+    ("gasket:2", "coincidence_gasket_2.csv"),
+    ("two_corner.json", "coincidence_two-corner.csv"),
+], ids=["builtin", "spec-file"])
+def test_coincidence_runs(tmp_path, spec, table):
+    (tmp_path / "two_corner.json").write_text(json.dumps(TWO_CORNER_FIELDS))
+    result = run_script("coincidence.py", "--spec", spec, "--nmax", "3",
+                        "--out", str(tmp_path / "results"), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    with open(tmp_path / "results" / table) as fh:
-        assert fh.readline().rstrip("\n") == header
+    rows = (tmp_path / "results" / table).read_text().splitlines()
+    assert rows[0] == "pair,level,walk,gap,lower,min_slack_rel,feasible,check"
+    # three corner pairs at levels 0..3, each with a feasible certificate
+    # whose lower bound agrees with the streamed walk
+    assert len(rows) == 1 + 3 * 4
+    assert all(row.endswith(",true,ok") for row in rows[1:]), rows
+    assert result.stdout.count("Aitken") == 3
