@@ -251,6 +251,7 @@ def test_subcommands_deterministic(tmp_path, command):
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_gasket2")
 
 GOLDEN_COMMANDS = [
+    ["check"],
     ["certify", "--from=-:0", "--to=-:1", "--level", "3"],
     ["measures", "--depth", "3"],
     ["intrinsic", "--from=-:0", "--to=-:1", "--level", "3", "--budget", "40"],
