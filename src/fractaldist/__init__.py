@@ -39,7 +39,6 @@ from .metrics import (
     MetricContext,
     discrete_geodesic,
     distance_matrix,
-    embedding_table,
     geodesic_converge,
     geodesic_profile,
     intrinsic_certificate,

@@ -181,7 +181,8 @@ def cmd_geodesic(args) -> int:
     y = VertexRef.parse(args.to)
     hist = metrics.geodesic_converge(ctx, x, y, args.nmax, rtol=args.convergence_rtol)
     name = f"convergence_{_safe(x)}_{_safe(y)}.csv"
-    _write(os.path.join(args.out, name), hist.to_csv())
+    _write(os.path.join(args.out, name), "level,value\n",
+           [f"{n},{v:.17g}\n" for n, v in hist.entries])
     print(f"estimate {hist.estimate:.17g} (last gap {hist.last_gap:.3e}, "
           f"levels {hist.entries[0][0]}..{hist.entries[-1][0]}, "
           f"converged={str(hist.converged).lower()})")
@@ -247,9 +248,11 @@ def cmd_intrinsic(args) -> int:
 
 def cmd_embed(args) -> int:
     ctx = _context(args)
-    table = metrics.embedding_table(ctx, args.level)
-    _write(os.path.join(args.out, f"embedding_level{args.level}.csv"), table.to_csv())
-    print(f"embedded {len(table.coords)} vertices at level {args.level} "
+    lg = ctx.level(args.level).lg
+    header = "id,word,label," + ",".join(f"x_{j + 1}" for j in range(ctx.n_components))
+    _write(os.path.join(args.out, f"embedding_level{args.level}.csv"), header + "\n",
+           vertex_rows(lg, ctx.coords(args.level)))
+    print(f"embedded {lg.num_vertices} vertices at level {args.level} "
           f"into R^{ctx.n_components}")
     return EXIT_OK
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BrokenStructureError, DegenerateFormError, NoEqualWeightStructureError
-from .structure import FractalSpec, LevelGraph, UnionFind, VertexRef, Word, build_level
+from .structure import FractalSpec, LevelGraph, VertexRef, Word, build_level
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-12
@@ -25,6 +26,7 @@ PROPORTIONALITY_RTOL = 1e-9
 EIGENVALUE_MATCH_TOL = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-10
 DET_TOL = 1e-12
+CONNECTIVITY_LEVEL = 3
 
 
 @dataclass
@@ -269,6 +271,8 @@ class HarmonicStructure:
         D = np.asarray(D, dtype=float)
         if D.shape != (spec.boundary, spec.boundary):
             raise ValueError(f"boundary matrix shape {D.shape} does not match q={spec.boundary}")
+        if not np.all(np.isfinite(D)):
+            raise ValueError("boundary matrix entries must be finite")
         if r is None:
             r = solve_equal_renormalization(spec, D)
         r_arr = np.broadcast_to(np.asarray(r, dtype=float), (spec.letters,)).copy()
@@ -294,13 +298,12 @@ class HarmonicStructure:
         return float(alpha @ (-self.D) @ b)
 
 
-def check_structure_conditions(hs: HarmonicStructure, *,
-                               connectivity_level: int = 3) -> ConditionReport:
+def check_structure_conditions(hs: HarmonicStructure) -> ConditionReport:
     """Full condition report: boundary matrix, regularity, and the structural
     conditions needed for the two-sided distance comparison.
 
     The punctured-connectivity condition is checked on the finite level-
-    ``connectivity_level`` graph only (a documented heuristic; the continuum
+    ``CONNECTIVITY_LEVEL`` graph only (a documented heuristic; the continuum
     statement is not decidable from combinatorial data).
     """
     spec = hs.spec
@@ -315,17 +318,17 @@ def check_structure_conditions(hs: HarmonicStructure, *,
     rep.add("boundary_is_three_points", spec.boundary == 3, abs(spec.boundary - 3),
             f"q = {spec.boundary}")
 
-    lg = build_level(spec, connectivity_level)
+    lg = build_level(spec, CONNECTIVITY_LEVEL)
     all_connected = True
     witness = ""
     for a in range(spec.boundary):
         vid = lg.boundary_ids[a]
         if not _connected_without(lg, vid):
             all_connected = False
-            witness = f"deleting boundary point {a} disconnects level {connectivity_level}"
+            witness = f"deleting boundary point {a} disconnects level {CONNECTIVITY_LEVEL}"
             break
     rep.add("punctured_connectivity", all_connected, 0.0 if all_connected else 1.0,
-            witness or f"checked at level {connectivity_level}")
+            witness or f"checked at level {CONNECTIVITY_LEVEL}")
 
     sign_ok = True
     sign_worst = 0.0
@@ -352,14 +355,15 @@ def check_structure_conditions(hs: HarmonicStructure, *,
 
 
 def _connected_without(lg: LevelGraph, removed: int) -> bool:
-    cells = lg.cells
-    uf = UnionFind()
-    for c in range(cells.shape[0]):
-        tup = [int(v) for v in cells[c] if v != removed]
-        for s in range(len(tup) - 1):
-            uf.union(tup[s], tup[s + 1])
-    roots = {uf.find(x) for x in range(lg.num_vertices) if x != removed}
-    return len(roots) == 1
+    """Whether the level graph stays connected once vertex ``removed`` and
+    its within-cell edges are deleted."""
+    a, b = np.triu_indices(lg.cells.shape[1], 1)
+    u, v = lg.cells[:, a].ravel(), lg.cells[:, b].ravel()
+    kept = (u != removed) & (v != removed)
+    graph = sp.coo_matrix((np.ones(kept.sum()), (u[kept], v[kept])),
+                          shape=(lg.num_vertices, lg.num_vertices))
+    _, label = connected_components(graph, directed=False)
+    return np.unique(np.delete(label, removed)).size == 1
 
 
 def harmonic_eval(hs: HarmonicStructure, alpha: np.ndarray, ref: VertexRef) -> float:

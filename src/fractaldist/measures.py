@@ -40,6 +40,8 @@ class HarmonicTuple:
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("expected a nonempty [N, q] array of boundary rows")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("tuple boundary values must be finite")
         object.__setattr__(self, "alphas", a)
         if np.max(np.abs(a - a.mean(axis=1, keepdims=True))) < 1e-15:
             warnings.warn("all components are constant: every induced cell "
@@ -183,10 +185,6 @@ class CellMeasureTable:
 
     spec_letters: int
     values: list[np.ndarray]
-
-    @property
-    def depth(self) -> int:
-        return len(self.values) - 1
 
     def value(self, word: Word) -> float:
         return float(self.values[len(word)][encode_word(word, self.spec_letters)])

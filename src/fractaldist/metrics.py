@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,6 @@ from .structure import (
     VertexRef,
     build_level,
     level_address_count,
-    vertex_rows,
 )
 
 MONOTONE_TOL = 1e-12
@@ -153,10 +151,6 @@ class MetricContext:
         for a in range(data.lg.cells.shape[1]):
             T[data.lg.cells[:, a]] = data.cell_values[:, a]
         return T
-
-    def coord_of(self, ref: VertexRef) -> np.ndarray:
-        """Embedding coordinates of a single point (no level tables needed)."""
-        return self.hs.values_on_cell(ref.word, self.h.alphas.T.astype(float))[ref.label].copy()
 
 
 def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
@@ -289,13 +283,6 @@ class ConvergenceHistory:
     extrapolated: float | None = None
     stop_reason: str | None = None
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("level,value\n")
-        for n, v in self.entries:
-            out.write(f"{n},{v:.17g}\n")
-        return out.getvalue()
-
 
 def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
                       n_max: int, rtol: float = 1e-9) -> ConvergenceHistory:
@@ -324,6 +311,7 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     src, dst = src_lg.vertex_id(x), src_lg.vertex_id(y)
     entries: list[tuple[int, float]] = []
     monotone = True
+    converged = False
     stop_reason = None
     for n in range(n0, n_max + 1):
         p = _prefix_level(ctx.spec.letters, n, n0)
@@ -339,13 +327,13 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
         if entries and value < entries[-1][1] - MONOTONE_TOL:
             monotone = False
         entries.append((n, value))
-        if len(entries) >= 2:
-            gap = entries[-1][1] - entries[-2][1]
-            if entries[-1][1] > 0 and gap / entries[-1][1] < rtol:
-                break
+        # one rule stops the levels and sets `converged`; zero counts as settled
+        converged = len(entries) >= 2 and (
+            value == 0.0 or (value - entries[-2][1]) / value < rtol)
+        if converged:
+            break
     estimate = entries[-1][1]
     last_gap = entries[-1][1] - entries[-2][1] if len(entries) >= 2 else 0.0
-    converged = len(entries) >= 2 and (estimate == 0.0 or last_gap / max(estimate, 1e-300) < rtol)
     extrapolated = None
     if len(entries) >= 3:
         d1 = entries[-2][1] - entries[-3][1]
@@ -429,12 +417,13 @@ class EstimateResult:
 
 
 def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
-                       budget: int = 200, step: float = 0.05) -> EstimateResult:
+                       budget: int = 200) -> EstimateResult:
     """Maximize ``f(y) - f(x)`` over vertex values subject to the per-cell
     domination constraints at level ``n``.
 
     Diagnostic solver: penalty-weighted ascent direction, exact per-cell
-    feasibility line search, step halved when a proposal cannot improve.
+    feasibility line search, step (at most 0.05) halved when a proposal cannot
+    improve.
     Start point is the certificate profile, so the reported value never drops
     below it; values are nondecreasing across iterations.  Constraints are
     imposed on the level-``n`` cells; sums over subtrees then dominate every
@@ -463,7 +452,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     def energies(vec, dvec=None):
         return cell_form(ctx.hs, data.rw, vec[cells], None if dvec is None else dvec[cells])
 
-    eta = step
+    eta = 0.05
     iterations = 0
     eps = 1e-9 * scale / max(len(mu), 1)
     for iterations in range(1, budget + 1):
@@ -505,33 +494,6 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
         history.append(best)
     converged = eta < 1e-12
     return EstimateResult(best, cert.certified_value, iterations, converged, n, history)
-
-
-@dataclass
-class EmbeddingTable:
-    """Coordinates of every vertex of ``lg``, ordered by canonical id."""
-
-    lg: LevelGraph
-    coords: np.ndarray
-
-    @property
-    def level(self) -> int:
-        return self.lg.level
-
-    @property
-    def refs(self) -> list[VertexRef]:
-        """Canonical address of every vertex, read from ``lg.addresses``."""
-        return [self.lg.address(v) for v in range(self.lg.num_vertices)]
-
-    def to_csv(self) -> str:
-        n_comp = self.coords.shape[1]
-        header = "id,word,label," + ",".join(f"x_{j + 1}" for j in range(n_comp))
-        return "".join([header + "\n", *vertex_rows(self.lg, self.coords)])
-
-
-def embedding_table(ctx: MetricContext, n: int) -> EmbeddingTable:
-    """Embedded point cloud of the level-``n`` vertices."""
-    return EmbeddingTable(ctx.level(n).lg, ctx.coords(n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidParameterError,
@@ -71,30 +73,6 @@ def word_column(codes: np.ndarray, length: int, k: int) -> list[str]:
     for pos in range(length - 1, -1, -1):
         rest, letters[:, pos] = np.divmod(rest, k)
     return _DIGIT_POINTS[letters].view(f"U{length}").ravel().tolist()
-
-
-class UnionFind:
-    """Disjoint sets over integer keys, stored only for keys ever united.
-
-    A union keeps the smaller root, so every class is represented by its
-    smallest member; level-graph vertex ids depend on this rule.
-    """
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _word_from_str(text: str) -> Word:
@@ -167,13 +145,12 @@ class FractalSpec:
             if not (0 <= i < k and 0 <= j < k and 0 <= a < q and 0 <= b < q):
                 raise SpecValidationError(f"glue[{idx}]={(i, a, j, b)} out of range")
         # the level-1 cell contact graph must be one piece
-        uf = UnionFind()
-        for i, _, j, _ in self.glue:
-            uf.union(i, j)
-        roots = {uf.find(i) for i in range(k)}
-        if len(roots) != 1:
+        pairs = np.array([(i, j) for i, _, j, _ in self.glue], dtype=np.int64).reshape(-1, 2)
+        contact = sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(k, k))
+        count, _ = connected_components(contact, directed=False)
+        if count != 1:
             raise SpecValidationError(
-                f"level-1 cell contact graph is disconnected ({len(roots)} components)")
+                f"level-1 cell contact graph is disconnected ({count} components)")
 
     def fixed_letter(self, label: int) -> int:
         return self.fixed_letters[label]
@@ -381,27 +358,26 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
 # level graphs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LevelMerge:
-    """Identification data for one refinement step.
-
-    Candidates at level m are ``i * nv + v`` for a first letter ``i`` and
-    one of the ``nv`` level-(m-1) vertices ``v``.  ``nonroots`` lists (sorted)
-    the candidates merged away into ``targets``; the rest keep rank order.
-    """
-
-    nonroots: np.ndarray
-    targets: np.ndarray
-
-    def apply(self, cand: np.ndarray) -> np.ndarray:
-        c = np.asarray(cand, dtype=np.int64)
-        if self.nonroots.size:
-            pos = np.searchsorted(self.nonroots, c)
-            pos_c = np.minimum(pos, self.nonroots.size - 1)
-            hit = self.nonroots[pos_c] == c
-            c = np.where(hit, self.targets[pos_c], c)
-            c = c - np.searchsorted(self.nonroots, c, side="right")
-        return c
+def _glue_classes(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the candidates joined by the pairs ``(u[e], v[e])``: the
+    candidates that are not the smallest member of their class, sorted, and
+    that smallest member for each.  Each class is represented by its smallest
+    member; level-graph vertex ids depend on this rule."""
+    nodes, ends = np.unique(np.concatenate([u, v]), return_inverse=True)
+    m = len(nodes)
+    # every pair once in each direction, as sorted CSR rows: on a symmetric
+    # graph the strong components are the connected ones, and scipy finds
+    # them without the transpose its undirected search builds (most of a
+    # small call's time); repeated entries would stall its strong search
+    rows, cols = np.divmod(np.unique(ends * m + ends.reshape(2, -1)[::-1].ravel()), m)
+    graph = sp.csr_matrix((np.ones(len(cols)), cols, np.searchsorted(rows, np.arange(m + 1))),
+                          shape=(m, m))
+    _, label = connected_components(graph, directed=True, connection="strong")
+    smallest = np.full(label.max() + 1, nodes[-1])
+    np.minimum.at(smallest, label, nodes)
+    root = smallest[label]
+    merged = root != nodes
+    return nodes[merged], root[merged]
 
 
 class LevelGraph:
@@ -485,8 +461,7 @@ def level_address_count(spec: FractalSpec, n: int,
     return total
 
 
-def build_level(spec: FractalSpec, n: int, *,
-                max_addresses: int = DEFAULT_MAX_ADDRESSES) -> LevelGraph:
+def build_level(spec: FractalSpec, n: int) -> LevelGraph:
     """Vertex hierarchy of ``spec`` at level ``n``.
 
     Vertices are equivalence classes of addresses under the glue rules applied
@@ -494,35 +469,40 @@ def build_level(spec: FractalSpec, n: int, *,
     their smallest candidate index at each refinement step.  The graph's
     address table is built lazily, on its first read (see :class:`LevelGraph`).
     """
-    level_address_count(spec, n, max_addresses)
+    level_address_count(spec, n)
     k, q = spec.letters, spec.boundary
+    glue = np.array(spec.glue, dtype=np.int64)
+    fixed = np.array(spec.fixed_letters, dtype=np.int64)
+    corners = np.arange(q)
+    lifted = np.zeros(q, dtype=np.int64)  # cell code of each lifted boundary point
 
     nv = q
-    boundary_ids = list(range(q))
     cells = np.arange(q, dtype=np.int32)[None, :]  # level 0: the whole set
 
     for _ in range(n):
-        # union-find over only the candidates touched by glue rules
-        uf = UnionFind()
-        for i, a, j, b in spec.glue:
-            uf.union(i * nv + boundary_ids[a], j * nv + boundary_ids[b])
-        pairs = sorted((x, uf.find(x)) for x in uf.parent if uf.find(x) != x)
-        merge = _LevelMerge(nonroots=np.array([x for x, _ in pairs], dtype=np.int64),
-                            targets=np.array([t for _, t in pairs], dtype=np.int64))
-
+        # candidates at the next level are i * nv + v for a first letter i and
+        # a vertex v; the glue rules join corners of the lifted boundary points
+        ids = cells[lifted, corners].astype(np.int64)
+        nonroots, targets = _glue_classes(glue[:, 0] * nv + ids[glue[:, 1]],
+                                          glue[:, 2] * nv + ids[glue[:, 3]])
         prev = cells.astype(np.int64)
         cells = np.empty((k * len(prev), q), dtype=np.int32)
         for i in range(k):
-            cells[i * len(prev):(i + 1) * len(prev)] = merge.apply(i * nv + prev)
-        boundary_ids = merge.apply(np.array(spec.fixed_letters) * nv + boundary_ids).tolist()
-        nv = k * nv - len(pairs)
+            # merged candidates take their class's smallest member; the rest
+            # keep rank order
+            c = i * nv + prev
+            pos = np.minimum(np.searchsorted(nonroots, c), nonroots.size - 1)
+            c = np.where(nonroots[pos] == c, targets[pos], c)
+            cells[i * len(prev):(i + 1) * len(prev)] = c - np.searchsorted(nonroots, c, side="right")
+        lifted = fixed * len(prev) + lifted
+        nv = k * nv - len(nonroots)
 
     for a in range(q):
         for b in range(a + 1, q):
             if np.any(cells[:, a] == cells[:, b]):
                 raise SpecValidationError(
                     f"level {n}: a cell has coincident corners {a} and {b}")
-    return LevelGraph(spec, n, nv, cells, boundary_ids)
+    return LevelGraph(spec, n, nv, cells, cells[lifted, corners].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,16 @@ def test_bad_vertex_ref_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(tmp_path, capsys, command)
 
 
+TUPLE_COMMANDS = [
+    ["profile", "--from=-:0", "--level", "2"],
+    ["embed", "--level", "2"],
+    ["measures", "--depth", "2"],
+    ["graph", "--level", "2"],
+    ["geodesic", "--from=-:0", "--to=-:1", "--nmax", "2"],
+    ["certify", "--from=-:0", "--to=-:1", "--level", "2"],
+]
+
+
 @pytest.mark.parametrize("command", [
     ["measures", "--depth", "-1"],
     ["certify", "--from=-:0", "--to=-:1", "--level", "2", "--cap", "nan"],
@@ -108,9 +118,21 @@ def test_bad_vertex_ref_is_usage_error(tmp_path, capsys, command):
     ["--feasibility-tol", "-1", "certify", "--from=-:0", "--to=-:1", "--level", "2"],
     ["--convergence-rtol", "nan", "geodesic", "--from=-:0", "--to=-:1", "--nmax", "3"],
     ["--convergence-rtol", "-1", "geodesic", "--from=-:0", "--to=-:1", "--nmax", "3"],
+    *[["--tuple", f"{x},0,1", *command] for x in ("nan", "inf") for command in TUPLE_COMMANDS],
+    ["--spec", "infinite-D.json", "check"],
+    ["--spec", "nan-D.json", "check"],
 ], ids=["negative-depth", "nan-cap", "infinite-cap", "nan-feasibility-tol",
-        "negative-feasibility-tol", "nan-convergence-rtol", "negative-convergence-rtol"])
-def test_bad_option_value_is_usage_error(tmp_path, capsys, command):
+        "negative-feasibility-tol", "nan-convergence-rtol", "negative-convergence-rtol",
+        *[f"{x}-tuple-{command[0]}" for x in ("nan", "inf") for command in TUPLE_COMMANDS],
+        "infinite-D", "nan-D"])
+def test_bad_option_value_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # the spec files named by the cases hold one non-finite entry in D; a
+    # later --spec overrides the default one
+    monkeypatch.chdir(tmp_path)
+    for name, entry in (("infinite-D.json", "1e999"), ("nan-D.json", "NaN")):
+        data = {**generate_spec("gasket", 2).to_json_dict(), "D": UNIT_TRIANGLE_D.tolist()}
+        data["D"][0][1] = data["D"][1][0] = "entry"
+        (tmp_path / name).write_text(json.dumps(data).replace('"entry"', entry))
     assert_usage_error(tmp_path, capsys, command)
 
 

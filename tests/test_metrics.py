@@ -23,7 +23,6 @@ from fractaldist.metrics import (
     discrete_geodesic,
     distance_matrix,
     edge_arrays,
-    embedding_table,
     geodesic_converge,
     geodesic_profile,
     intrinsic_certificate,
@@ -36,6 +35,7 @@ from fractaldist.structure import (
     build_level,
     generate_spec,
     level_address_count,
+    vertex_rows,
 )
 
 from conftest import UNIT_TRIANGLE_D
@@ -110,7 +110,8 @@ def test_discrete_geodesic_basics(sg2_ctx):
     assert res.value == 0.0 and res.path == [sg2_ctx.vertex_id(x, 3)]
     for y in CORNER[1:]:
         r = discrete_geodesic(sg2_ctx, x, y, 3)
-        chord = np.linalg.norm(sg2_ctx.coord_of(x) - sg2_ctx.coord_of(y))
+        coords = sg2_ctx.coords(3)
+        chord = np.linalg.norm(coords[sg2_ctx.vertex_id(x, 3)] - coords[sg2_ctx.vertex_id(y, 3)])
         assert r.value >= chord - 1e-12
         # path vertices must be pairwise adjacent through shared cells
         u, v, _ = edge_arrays(sg2_ctx, 3)
@@ -472,19 +473,16 @@ def test_estimate_monotone_and_bounded(sg2_ctx):
 
 
 def test_embedding_level_zero_rows(sg2_ctx):
-    table = embedding_table(sg2_ctx, 0)
-    assert np.allclose(table.coords, sg2_ctx.h.alphas.T, atol=1e-15)
+    assert np.allclose(sg2_ctx.coords(0), sg2_ctx.h.alphas.T, atol=1e-15)
+    lg = sg2_ctx.level(0).lg
     for a in range(3):
-        assert table.refs[a] == VertexRef((), a)
+        assert lg.address(a) == VertexRef((), a)
 
 
 def test_embedding_lift_consistency(sg2_ctx):
     for m, n in [(0, 2), (1, 3)]:
-        coarse_tab = embedding_table(sg2_ctx, m)
-        fine = sg2_ctx.level(n).lg
-        emb = sg2_ctx.level(m).lg.embed_into(fine)
-        fine_coords = sg2_ctx.coords(n)
-        assert np.max(np.abs(fine_coords[emb] - coarse_tab.coords)) < 1e-12
+        emb = sg2_ctx.level(m).lg.embed_into(sg2_ctx.level(n).lg)
+        assert np.max(np.abs(sg2_ctx.coords(n)[emb] - sg2_ctx.coords(m))) < 1e-12
 
 
 def test_embedding_golden_csv(sg2_hs):
@@ -492,7 +490,7 @@ def test_embedding_golden_csv(sg2_hs):
     cand = np.array([1.0, 0.0, 1.0])
     a2 = cand - (sg2_hs.energy0(a1, cand) / sg2_hs.energy0(a1, a1)) * a1
     ctx = MetricContext(sg2_hs, HarmonicTuple(np.stack([a1, a2])))
-    text = embedding_table(ctx, 3).to_csv()
+    text = "".join(["id,word,label,x_1,x_2\n", *vertex_rows(ctx.level(3).lg, ctx.coords(3))])
     with open(os.path.join(DATA, "embedding_gasket2_level3.csv")) as fh:
         assert fh.read() == text
 
@@ -502,3 +500,11 @@ def test_walk_values_nondecreasing_other_specs(hexa_ctx):
     assert hist.monotone
     gaps = np.diff([v for _, v in hist.entries])
     assert gaps.min() >= -1e-12
+
+
+@pytest.mark.parametrize("x,y", [("-:0", "-:0"), ("0:1", "1:0")])
+def test_zero_distance_stops_after_two_levels(sg2_ctx, x, y):
+    # one rule stops the levels and sets `converged`: a zero value has settled
+    hist = geodesic_converge(sg2_ctx, VertexRef.parse(x), VertexRef.parse(y), 11)
+    assert len(hist.entries) == 2
+    assert hist.converged and hist.estimate == 0.0

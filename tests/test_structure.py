@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractaldist import metrics
+from fractaldist import metrics, structure
 from fractaldist.errors import (
     FractalDistError,
     InvalidParameterError,
@@ -24,6 +24,7 @@ from fractaldist.structure import (
     decode_word,
     encode_word,
     generate_spec,
+    level_address_count,
     lift,
     word_column,
 )
@@ -242,10 +243,21 @@ def test_cell_clique_graph_connected_all_builtins():
             assert ncomp == 1
 
 
-def test_resource_limit():
+def test_glue_classes_with_repeated_pairs():
+    # pairs repeated in either direction are what a level step meets when
+    # glue rules land on the same candidates
+    u, v = np.array([3, 1, 3, 9, 7, 12]), np.array([1, 3, 5, 7, 9, 12])
+    nonroots, targets = structure._glue_classes(u, v)
+    assert nonroots.tolist() == [3, 5, 9]
+    assert targets.tolist() == [1, 1, 7]
+
+
+def test_resource_limit(monkeypatch):
     spec = generate_spec("gasket", 2)
+    monkeypatch.setattr(structure, "level_address_count",
+                        lambda spec, n: level_address_count(spec, n, 1000))
     with pytest.raises(ResourceLimitError) as err:
-        build_level(spec, 8, max_addresses=1000)
+        build_level(spec, 8)
     assert err.value.attempted_size == 3 * 3 ** 8
 
 
@@ -314,7 +326,7 @@ def test_lift_definition_and_identity(sg2_spec):
 
 
 @pytest.mark.parametrize("kind,param", [("gasket", 2), ("polygasket", 6)])
-def test_lift_matches_embedding_table(kind, param):
+def test_lift_matches_embed_into(kind, param):
     spec = generate_spec(kind, param)
     for m, n in [(0, 1), (1, 2), (2, 3)]:
         coarse = build_level(spec, m)
