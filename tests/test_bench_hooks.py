@@ -3,7 +3,7 @@
 import os
 import sys
 
-from fractaldist import cli, harmonic, measures, metrics, structure
+from fractaldist import cli, measures, metrics, structure
 from fractaldist.harmonic import HarmonicStructure
 from fractaldist.structure import VertexRef, generate_spec
 
@@ -18,7 +18,7 @@ def test_tracer_hooks_resolve_and_restore(tmp_path):
                  (measures, "cell_boundary_values"), (measures, "check_domination"),
                  (metrics, "intrinsic_certificate"), (metrics, "_csgraph_dijkstra"),
                  (cli, "main")]
-    methods = [(harmonic.HarmonicStructure, "build"), (metrics.MetricContext, "level"),
+    methods = [(HarmonicStructure, "build"), (metrics.MetricContext, "level"),
                (measures.SlackTable, "to_csv")]
     before = [getattr(owner, name) for owner, name in functions]
     before_methods = [vars(cls)[name] for cls, name in methods]
