@@ -111,9 +111,7 @@ def assemble_discrete_form(D: np.ndarray, cell_weights: np.ndarray,
     rows = np.repeat(cells, q, axis=1).ravel()
     cols = np.tile(cells, (1, q)).ravel()
     data = (w[:, None] * (-D).ravel()[None, :]).ravel()
-    M = sp.csr_matrix((data, (rows, cols)), shape=(lg.num_vertices, lg.num_vertices))
-    M.sum_duplicates()
-    return M
+    return sp.csr_matrix((data, (rows, cols)), shape=(lg.num_vertices, lg.num_vertices))
 
 
 def renorm_products(r: np.ndarray, n: int) -> np.ndarray:

@@ -115,7 +115,8 @@ class FractalSpec:
     ``fixed_letters[a]`` is the cell whose map fixes boundary point ``a``;
     every boundary point must be such a fixed point.  ``glue`` holds unordered
     corner identifications ``(i, a, j, b)`` meaning corner ``a`` of cell ``i``
-    coincides with corner ``b`` of cell ``j``.
+    coincides with corner ``b`` of cell ``j``.  Glue under which two corners
+    of one cell, or two boundary points, meet at level 1 is rejected.
     """
 
     name: str
@@ -145,15 +146,33 @@ class FractalSpec:
             if not (0 <= i < k and 0 <= j < k and 0 <= a < q and 0 <= b < q):
                 raise SpecValidationError(f"glue[{idx}]={(i, a, j, b)} out of range")
         # the level-1 cell contact graph must be one piece
-        pairs = np.array([(i, j) for i, _, j, _ in self.glue], dtype=np.int64).reshape(-1, 2)
-        contact = sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(k, k))
+        glue = np.array(self.glue, dtype=np.int64).reshape(-1, 4)
+        ones = np.ones(len(glue))
+        contact = sp.coo_matrix((ones, (glue[:, 0], glue[:, 2])), shape=(k, k))
         count, _ = connected_components(contact, directed=False)
         if count != 1:
             raise SpecValidationError(
                 f"level-1 cell contact graph is disconnected ({count} components)")
-
-    def fixed_letter(self, label: int) -> int:
-        return self.fixed_letters[label]
+        # classes of the level-1 corners i * q + a; no class may hold two
+        # corners of one cell or two boundary points
+        corners = sp.coo_matrix((ones, (glue[:, 0] * q + glue[:, 1], glue[:, 2] * q + glue[:, 3])),
+                                shape=(k * q, k * q))
+        _, label = connected_components(corners, directed=False)
+        meet = label.reshape(k, q)
+        ends = meet[self.fixed_letters, range(q)]
+        for a in range(q):
+            for b in range(a + 1, q):
+                if np.any(meet[:, a] == meet[:, b]):
+                    raise SpecValidationError(f"level 1: a cell has coincident corners {a} and {b}")
+                if ends[a] == ends[b]:
+                    raise SpecValidationError(f"level 1: boundary points {a} and {b} coincide")
+        # each corner's class root is its smallest-letter member: rows
+        # (letter, corner, root letter, root corner) for every other corner
+        _, first = np.unique(label, return_index=True)
+        root = first[label]
+        moved = np.flatnonzero(root != np.arange(k * q))
+        object.__setattr__(self, "_glue_roots", np.stack(
+            [*np.divmod(moved, q), *np.divmod(root[moved], q)], axis=1))
 
     def label_of_fixed_cell(self, letter: int) -> int:
         try:
@@ -317,7 +336,7 @@ def lift(spec: FractalSpec, ref: VertexRef, n: int) -> VertexRef:
     check_ref(spec, ref)
     if n < ref.level:
         raise ValueError(f"cannot lift level-{ref.level} ref down to level {n}")
-    tail = (spec.fixed_letter(ref.label),) * (n - ref.level)
+    tail = (spec.fixed_letters[ref.label],) * (n - ref.level)
     return VertexRef(ref.word + tail, ref.label)
 
 
@@ -340,13 +359,13 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
     queue = deque([start])
     while queue:
         word, label = queue.popleft()
-        fa = spec.fixed_letter(label)
+        fa = spec.fixed_letters[label]
         for m in range(n - 1, -1, -1):
             # positions m+1..n-1 must all carry the fixed letter of `label`
             if m < n - 1 and word[m + 1] != fa:
                 break
             for j, b in by_corner.get((word[m], label), ()):
-                cand = (word[:m] + (j,) + (spec.fixed_letter(b),) * (n - 1 - m), b)
+                cand = (word[:m] + (j,) + (spec.fixed_letters[b],) * (n - 1 - m), b)
                 if cand not in seen:
                     seen.add(cand)
                     queue.append(cand)
@@ -357,28 +376,6 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
 # ---------------------------------------------------------------------------
 # level graphs
 # ---------------------------------------------------------------------------
-
-def _glue_classes(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the candidates joined by the pairs ``(u[e], v[e])``: the
-    candidates that are not the smallest member of their class, sorted, and
-    that smallest member for each.  Each class is represented by its smallest
-    member; level-graph vertex ids depend on this rule."""
-    nodes, ends = np.unique(np.concatenate([u, v]), return_inverse=True)
-    m = len(nodes)
-    # every pair once in each direction, as sorted CSR rows: on a symmetric
-    # graph the strong components are the connected ones, and scipy finds
-    # them without the transpose its undirected search builds (most of a
-    # small call's time); repeated entries would stall its strong search
-    rows, cols = np.divmod(np.unique(ends * m + ends.reshape(2, -1)[::-1].ravel()), m)
-    graph = sp.csr_matrix((np.ones(len(cols)), cols, np.searchsorted(rows, np.arange(m + 1))),
-                          shape=(m, m))
-    _, label = connected_components(graph, directed=True, connection="strong")
-    smallest = np.full(label.max() + 1, nodes[-1])
-    np.minimum.at(smallest, label, nodes)
-    root = smallest[label]
-    merged = root != nodes
-    return nodes[merged], root[merged]
-
 
 class LevelGraph:
     """Canonicalized vertex set of one refinement level.
@@ -471,9 +468,9 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
     """
     level_address_count(spec, n)
     k, q = spec.letters, spec.boundary
-    glue = np.array(spec.glue, dtype=np.int64)
     fixed = np.array(spec.fixed_letters, dtype=np.int64)
     corners = np.arange(q)
+    letter, corner, root_letter, root_corner = spec._glue_roots.T
     lifted = np.zeros(q, dtype=np.int64)  # cell code of each lifted boundary point
 
     nv = q
@@ -481,10 +478,13 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
 
     for _ in range(n):
         # candidates at the next level are i * nv + v for a first letter i and
-        # a vertex v; the glue rules join corners of the lifted boundary points
+        # a vertex v; the lifted boundary points are distinct, so the corners
+        # glued at level 1 meet again, each at its root's candidate, the
+        # smallest of its class
         ids = cells[lifted, corners].astype(np.int64)
-        nonroots, targets = _glue_classes(glue[:, 0] * nv + ids[glue[:, 1]],
-                                          glue[:, 2] * nv + ids[glue[:, 3]])
+        nonroots = letter * nv + ids[corner]
+        order = np.argsort(nonroots)
+        nonroots, targets = nonroots[order], (root_letter * nv + ids[root_corner])[order]
         prev = cells.astype(np.int64)
         cells = np.empty((k * len(prev), q), dtype=np.int32)
         for i in range(k):
@@ -497,11 +497,6 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
         lifted = fixed * len(prev) + lifted
         nv = k * nv - len(nonroots)
 
-    for a in range(q):
-        for b in range(a + 1, q):
-            if np.any(cells[:, a] == cells[:, b]):
-                raise SpecValidationError(
-                    f"level {n}: a cell has coincident corners {a} and {b}")
     return LevelGraph(spec, n, nv, cells, cells[lifted, corners].tolist())
 
 

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines
-as they complete.  The deepest runs (criterion 4 at level 9 on the six-cell
-families, criterion 9 at levels 10 and 12) take a few minutes combined and
-peak around 2.5 GB of RAM.
+as they complete.  The whole module takes about 30 s and peaks around
+2.4 GiB of RAM on a 2-vCPU host, almost all of it in the deepest runs
+(criterion 4 at level 9 on the six-cell families, criterion 9 at levels 10
+and 12).
 """
 
 import filecmp

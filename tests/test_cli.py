@@ -121,18 +121,23 @@ TUPLE_COMMANDS = [
     *[["--tuple", f"{x},0,1", *command] for x in ("nan", "inf") for command in TUPLE_COMMANDS],
     ["--spec", "infinite-D.json", "check"],
     ["--spec", "nan-D.json", "check"],
+    ["--spec", "circle.json", "check"],
 ], ids=["negative-depth", "nan-cap", "infinite-cap", "nan-feasibility-tol",
         "negative-feasibility-tol", "nan-convergence-rtol", "negative-convergence-rtol",
         *[f"{x}-tuple-{command[0]}" for x in ("nan", "inf") for command in TUPLE_COMMANDS],
-        "infinite-D", "nan-D"])
+        "infinite-D", "nan-D", "coincident-boundary"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, monkeypatch, command):
-    # the spec files named by the cases hold one non-finite entry in D; a
-    # later --spec overrides the default one
+    # the D spec files hold one non-finite entry in D, and the circle's two
+    # cells glue boundary point 0 to boundary point 1; a later --spec
+    # overrides the default one
     monkeypatch.chdir(tmp_path)
     for name, entry in (("infinite-D.json", "1e999"), ("nan-D.json", "NaN")):
         data = {**generate_spec("gasket", 2).to_json_dict(), "D": UNIT_TRIANGLE_D.tolist()}
         data["D"][0][1] = data["D"][1][0] = "entry"
         (tmp_path / name).write_text(json.dumps(data).replace('"entry"', entry))
+    (tmp_path / "circle.json").write_text(json.dumps(
+        {"name": "circle", "letters": 2, "boundary": 2, "fixed_letters": [0, 1],
+         "glue": [[0, 0, 1, 1], [0, 1, 1, 0]]}))
     assert_usage_error(tmp_path, capsys, command)
 
 

@@ -169,7 +169,7 @@ def glue_spec_fields(draw):
     """Spec-file fields with 2-5 cells and 2-4 labels: a random tree of glue
     rules joining every cell to an earlier one, plus up to k random rules
     between distinct cells.  Some are invalid (a fixed letter out of range,
-    coincident corners at some level)."""
+    coincident corners or boundary points at level 1)."""
     k = draw(st.integers(2, 5))
     q = draw(st.integers(2, 4))
     fixed = draw(st.permutations(range(max(k, q))))[:q]
@@ -187,9 +187,10 @@ def glue_spec_fields(draw):
 def test_level_builder_matches_brute_force_on_random_specs(fields, n, seed):
     try:
         spec = FractalSpec.from_json_dict(fields)
-        levels = [build_level(spec, m) for m in range(n + 1)]
     except FractalDistError:
         return
+    # every accepted spec builds every level
+    levels = [build_level(spec, m) for m in range(n + 1)]
     fine = levels[n]
     # with q >= 3 cells often share a vertex pair; the walk graph keeps the
     # shorter of their weights
@@ -243,13 +244,20 @@ def test_cell_clique_graph_connected_all_builtins():
             assert ncomp == 1
 
 
-def test_glue_classes_with_repeated_pairs():
-    # pairs repeated in either direction are what a level step meets when
-    # glue rules land on the same candidates
-    u, v = np.array([3, 1, 3, 9, 7, 12]), np.array([1, 3, 5, 7, 9, 12])
-    nonroots, targets = structure._glue_classes(u, v)
-    assert nonroots.tolist() == [3, 5, 9]
-    assert targets.tolist() == [1, 1, 7]
+def test_repeated_and_reversed_glue_rules_build_the_same_levels(sg3_spec):
+    # a spec built directly keeps its glue as given; a rule listed twice, or
+    # with its two corners swapped, joins nothing new
+    first, (i, a, j, b), *rest = sg3_spec.glue
+    glue = (first, first, (j, b, i, a), *rest)
+    raw = FractalSpec("raw", sg3_spec.letters, 3, sg3_spec.fixed_letters, glue)
+    twin = FractalSpec("twin", sg3_spec.letters, 3, sg3_spec.fixed_letters,
+                       structure._normalize_glue(glue))
+    assert twin.glue == sg3_spec.glue
+    for n in range(4):
+        lg, expected = build_level(raw, n), build_level(twin, n)
+        assert np.array_equal(lg.cells, expected.cells)
+        assert lg.num_vertices == expected.num_vertices
+        assert lg.boundary_ids == expected.boundary_ids
 
 
 def test_resource_limit(monkeypatch):
@@ -385,6 +393,10 @@ def test_spec_validation_errors():
         FractalSpec("bad", 4, 3, (0, 1, 2), ((0, 1, 1, 0),))
     with pytest.raises(SpecValidationError):  # out-of-range label
         FractalSpec("bad", 3, 3, (0, 1, 2), ((0, 3, 1, 0),))
+    with pytest.raises(SpecValidationError, match="boundary points 0 and 1 coincide"):
+        FractalSpec("circle", 2, 2, (0, 1), ((0, 0, 1, 1), (0, 1, 1, 0)))
+    with pytest.raises(SpecValidationError, match="a cell has coincident corners 1 and 2"):
+        FractalSpec("pinch", 3, 3, (0, 1, 2), ((0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 2, 1)))
 
 
 def test_json_dict_roundtrip(sg2_spec, hexa_spec):
