@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import BrokenStructureError, DegenerateFormError, NoEqualWeightStructureError
-from .structure import FractalSpec, LevelGraph, VertexRef, Word, build_level
+from .structure import FractalSpec, LevelGraph, VertexRef, Word, build_level, cell_pairs
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-12
@@ -355,8 +355,7 @@ def check_structure_conditions(hs: HarmonicStructure) -> ConditionReport:
 def _connected_without(lg: LevelGraph, removed: int) -> bool:
     """Whether the level graph stays connected once vertex ``removed`` and
     its within-cell edges are deleted."""
-    a, b = np.triu_indices(lg.cells.shape[1], 1)
-    u, v = lg.cells[:, a].ravel(), lg.cells[:, b].ravel()
+    u, v = cell_pairs(lg)
     kept = (u != removed) & (v != removed)
     graph = sp.coo_matrix((np.ones(kept.sum()), (u[kept], v[kept])),
                           shape=(lg.num_vertices, lg.num_vertices))

@@ -8,6 +8,7 @@ boundary values.  Measures are represented only through their values on cells
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .structure import (
 )
 
 FEASIBILITY_RTOL = 1e-9
+# cells whose corner_products table cell_form holds at once: a few MiB
+_FORM_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,43 +119,64 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 
-def cell_form(hs: HarmonicStructure, rw: np.ndarray | float, X: np.ndarray,
+def corner_products(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """``[pairs, cells]`` table of corner-difference products ``sum_j (X[c, a,
+    j] - X[c, b, j]) * (Y[c, a, j] - Y[c, b, j])``, corner pairs ``a < b`` in
+    ``np.triu_indices(q, 1)`` order.  ``X`` and ``Y`` are ``[cells, q]`` or
+    ``[cells, q, N]``; ``Y`` defaults to ``X``: squared corner distances."""
+    X = X.reshape(X.shape[0], X.shape[1], -1)
+    Y = X if Y is None else Y.reshape(X.shape)
+    a, b = np.triu_indices(X.shape[1], 1)
+    table = np.zeros((len(a), len(X)))
+    dx, dy = np.empty(len(X)), np.empty(len(X))
+    for row, i, j in zip(table, a, b):
+        # one component at a time, in the order a sum over the component axis
+        # adds them; each X[:, i, c] of a child_values array is contiguous
+        for c in range(X.shape[2]):
+            np.subtract(X[:, i, c], X[:, j, c], out=dx)
+            dx *= dx if Y is X else np.subtract(Y[:, i, c], Y[:, j, c], out=dy)
+            row += dx
+    return table
+
+
+def cell_form(D: np.ndarray, rw: np.ndarray | float, X: np.ndarray,
               Y: np.ndarray | None = None) -> np.ndarray:
     """Per-cell energy pairing ``(2 / r_w) * sum_j (-D X[c, :, j], Y[c, :, j])``.
 
-    ``X`` and ``Y`` hold corner values of shape ``[cells, q]`` or
-    ``[cells, q, N]``; ``Y`` defaults to ``X``, which gives the cell measures.
+    A valid ``D`` has the constants as its kernel, so this is ``(2 / r_w) *
+    sum_p D[a, b] * corner_products(X, Y)[p]``: corner differences, which
+    keep their digits on small cells where the raw O(1) values cancel.
     """
-    X = X.reshape(X.shape[0], X.shape[1], -1)
-    Y = X if Y is None else Y.reshape(X.shape)
-    return (2.0 / rw) * np.einsum("cqj,qp,cpj->c", X, -hs.D, Y)
-
-
-def _word_weight(hs: HarmonicStructure, word: Word) -> float:
-    w = 1.0
-    for letter in word:
-        w *= float(hs.r[letter])
-    return w
+    energy = np.empty(len(X))
+    for s in range(0, len(X), _FORM_BLOCK_CELLS):
+        part = slice(s, s + _FORM_BLOCK_CELLS)
+        table = corner_products(X[part], None if Y is None else Y[part])
+        table *= D[np.triu_indices(len(D), 1)][:, None]
+        table.sum(axis=0, out=energy[part])
+    energy *= 2.0
+    return np.divide(energy, rw, out=energy)
 
 
 def harmonic_cell_measure(hs: HarmonicStructure, h: HarmonicTuple, word: Word) -> float:
     """Measure of cell ``word`` under the tuple's summed energy measure:
-    ``sum_j (2 / r_w) * E0(values of h_j on the cell)``."""
-    vals = hs.values_on_cell(word, h.alphas.T.astype(float))  # [q, N]
-    return float(cell_form(hs, _word_weight(hs, word), vals[None])[0])
+    ``sum_j (2 / r_w) * E0(values of h_j on the cell)``, by the quadratic
+    form itself: the reference for the vectorized :func:`cell_form`."""
+    vals = hs.values_on_cell(word, h.alphas.T.astype(float))[None]  # [1, q, N]
+    return float((2.0 / math.prod(hs.r[list(word)]))
+                 * np.einsum("cqj,qp,cpj->c", vals, -hs.D, vals)[0])
 
 
 def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
     """Vector of measures of all level-``n`` cells (big-endian code order)."""
     # first: cell_boundary_values checks the level before anything is allocated
     values = cell_boundary_values(hs, h, n)
-    return cell_form(hs, renorm_products(hs.r, n), values)
+    return cell_form(hs.D, renorm_products(hs.r, n), values)
 
 
 def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.ndarray:
     """Per-cell measure of the piecewise-harmonic interpolant of ``f``:
     ``(2 / r_w) * E0(f restricted to the cell)`` for every level cell."""
-    return cell_form(hs, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float)[lg.cells])
+    return cell_form(hs.D, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float)[lg.cells])
 
 
 def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
@@ -172,8 +196,7 @@ def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
 def trace_coefficients(hs: HarmonicStructure, word: Word) -> np.ndarray:
     """Pairwise conductances across a cell: ``b[p, q] = 2 * D[p, q] / r_w``
     (symmetric, nonnegative off-diagonal, zero diagonal)."""
-    rw = _word_weight(hs, word)
-    b = 2.0 * np.asarray(hs.D, dtype=float) / rw
+    b = 2.0 * np.asarray(hs.D, dtype=float) / math.prod(hs.r[list(word)])
     np.fill_diagonal(b, 0.0)
     return b
 

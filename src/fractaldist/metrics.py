@@ -46,6 +46,7 @@ from .measures import (
     cell_form,
     child_values,
     check_domination,
+    corner_products,
     default_tuple,
     tuple_cell_measures,
 )
@@ -54,6 +55,7 @@ from .structure import (
     LevelGraph,
     VertexRef,
     build_level,
+    cell_pairs,
     level_address_count,
 )
 
@@ -63,9 +65,8 @@ MONOTONE_TOL = 1e-12
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request:
-    each cell's tuple boundary values and weight product, the vertex graph,
-    the tuple's cell measures and the weighted walk graph (see
-    :func:`weighted_level_graph`)."""
+    each cell's tuple boundary values, the vertex graph, the tuple's cell
+    measures and the weighted walk graph (see :func:`weighted_level_graph`)."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
@@ -78,11 +79,6 @@ class LevelData:
         return cell_boundary_values(self.hs, self.h, self.level)
 
     @functools.cached_property
-    def rw(self) -> np.ndarray:
-        """``[ncells]`` weight products, as :func:`renorm_products`."""
-        return renorm_products(self.hs.r, self.level)
-
-    @functools.cached_property
     def lg(self) -> LevelGraph:
         """Vertex graph of the level, as :func:`build_level`."""
         return build_level(self.hs.spec, self.level)
@@ -90,7 +86,7 @@ class LevelData:
     @functools.cached_property
     def mu(self) -> np.ndarray:
         """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
-        return cell_form(self.hs, self.rw, self.cell_values)
+        return cell_form(self.hs.D, renorm_products(self.hs.r, self.level), self.cell_values)
 
 
 class MetricContext:
@@ -154,37 +150,17 @@ class MetricContext:
 
 
 def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
-    """Embedded Euclidean length between corners ``a < b`` of every cell.
-
-    ``cell_values`` is ``[cells, q, N]``; the result is ``[pairs, cells]``,
-    pairs in ``np.triu_indices(q, 1)`` order.
-    """
-    a, b = np.triu_indices(cell_values.shape[1], 1)
-    lengths = np.zeros((len(a), cell_values.shape[0]))
-    for sq, i, j in zip(lengths, a, b):
-        # one component at a time: the squares are added in the order a sum
-        # over the component axis adds them, without a [cells, N] temporary;
-        # each cell_values[:, i, c] is a contiguous row of child_values'
-        # cells-last array
-        for c in range(cell_values.shape[2]):
-            diff = cell_values[:, i, c] - cell_values[:, j, c]
-            sq += diff * diff
+    """Embedded Euclidean length between corners ``a < b`` of every cell:
+    the square root of :func:`corner_products`, laid out ``[pairs, cells]``."""
+    lengths = corner_products(cell_values)
     return np.sqrt(lengths, out=lengths)
-
-
-def _cell_pairs(lg: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints ``(u, v)`` of corner pair ``p`` of cell ``c`` at ``p * cells
-    + c``: the raveled layout of a ``[pairs, cells]`` table such as
-    :func:`_corner_lengths`."""
-    a, b = np.triu_indices(lg.cells.shape[1], 1)
-    return lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
 
 
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
     per unordered corner pair per cell, weights = embedded Euclidean lengths."""
     data = ctx.level(n)
-    return (*_cell_pairs(data.lg), _corner_lengths(data.cell_values).ravel())
+    return (*cell_pairs(data.lg), _corner_lengths(data.cell_values).ravel())
 
 
 def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
@@ -200,7 +176,7 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
     run close to the memory budget.
     """
     nv = lg.num_vertices
-    u, v = _cell_pairs(lg)
+    u, v = cell_pairs(lg)
     w = W.ravel()
     doubled = sp.coo_matrix((np.concatenate([w, w]),
                              (np.concatenate([u, v]), np.concatenate([v, u]))),
@@ -347,15 +323,9 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
 def default_cap(ctx: MetricContext) -> float:
     """Heuristic cap: twice the oscillation bound ``sqrt(c * mu_h(K) / 2)``
     with ``c`` estimated as the largest boundary-pair effective resistance."""
-    D = ctx.hs.D
-    q = D.shape[0]
-    pinv = np.linalg.pinv(-D)
-    c = 0.0
-    for a in range(q):
-        for b in range(a + 1, q):
-            e = np.zeros(q)
-            e[a], e[b] = 1.0, -1.0
-            c = max(c, float(e @ pinv @ e))
+    a, b = np.triu_indices(len(ctx.hs.D), 1)
+    pinv = -np.linalg.pinv(ctx.hs.D)  # of the boundary Laplacian
+    c = float(np.max((pinv[a, a] - pinv[b, a]) - (pinv[a, b] - pinv[b, b])))
     total = float(tuple_cell_measures(ctx.hs, ctx.h, 0)[0])
     return 2.0 * math.sqrt(c * total / 2.0)
 
@@ -443,28 +413,28 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     if budget <= 0:
         return EstimateResult(best, cert.certified_value, 0, False, n, history)
 
-    D = ctx.hs.D
-    rw2 = 2.0 / data.rw
-    obj_grad = np.zeros(data.lg.num_vertices)
+    D, rw = ctx.hs.D, renorm_products(ctx.hs.r, n)
+    u, v = cell_pairs(data.lg)
+    # the pair form's derivative (see cell_form): (2 / r_w) 2 D[a, b] (f_a - f_b)
+    # on corner a of each pair, its negative on corner b
+    pair_grad = 4.0 * D[np.triu_indices(len(D), 1)][:, None]
+    obj_grad = np.zeros(len(f))
     obj_grad[y_id] = 1.0
     obj_grad[x_id] = -1.0
-
-    def energies(vec, dvec=None):
-        return cell_form(ctx.hs, data.rw, vec[cells], None if dvec is None else dvec[cells])
 
     eta = 0.05
     iterations = 0
     eps = 1e-9 * scale / max(len(mu), 1)
     for iterations in range(1, budget + 1):
-        e = energies(f)
+        e = cell_form(D, rw, f[cells])
         slack = mu - e
         # reciprocal-slack penalty steers mass away from nearly tight cells
         wpen = 1.0 / np.maximum(slack, eps)
         wpen *= 0.25 * eta / wpen.max()
-        gpen = np.zeros_like(f)
-        coef = (wpen * rw2)[:, None] * (2.0 * (f[cells] @ (-D).T))
-        np.add.at(gpen, cells.reshape(-1), coef.reshape(-1))
-        d = obj_grad - gpen
+        coef = f[u]
+        coef -= f[v]
+        coef *= (pair_grad * (wpen / rw)).ravel()
+        d = obj_grad - np.bincount(u, coef, len(f)) + np.bincount(v, coef, len(f))
         gain = d[y_id] - d[x_id]
         if gain <= 0:
             eta *= 0.5
@@ -472,8 +442,8 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
                 break
             continue
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
-        a = energies(d)
-        b = 2.0 * energies(f, d)
+        a = cell_form(D, rw, d[cells])
+        b = 2.0 * cell_form(D, rw, f[cells], d[cells])
         room = slack
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = b * b + 4.0 * a * room

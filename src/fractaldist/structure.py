@@ -500,6 +500,14 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
     return LevelGraph(spec, n, nv, cells, cells[lifted, corners].tolist())
 
 
+def cell_pairs(lg: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(u, v)`` of corner pair ``p`` of cell ``c`` at ``p * cells
+    + c``: the raveled layout of a ``[pairs, cells]`` table, pairs ``a < b``
+    in ``np.triu_indices(q, 1)`` order."""
+    a, b = np.triu_indices(lg.cells.shape[1], 1)
+    return lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
+
+
 # ---------------------------------------------------------------------------
 # CSV rows
 # ---------------------------------------------------------------------------

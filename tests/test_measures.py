@@ -1,13 +1,19 @@
 """Cell measures: additivity, trace coefficients, domination slack."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fractaldist import measures
+from fractaldist.harmonic import check_dirichlet_matrix
 from fractaldist.measures import (
     HarmonicTuple,
     cell_boundary_values,
+    cell_form,
     cell_measure_table,
     check_domination,
     child_values,
@@ -31,6 +37,80 @@ def test_constant_tuple_measures_vanish(sg2_hs):
         h = HarmonicTuple(np.ones((1, 3)))
     for word in [(), (0,), (1, 2), (0, 1, 2)]:
         assert harmonic_cell_measure(sg2_hs, h, word) == 0.0
+
+
+def exact_form(D, rw, X, Y):
+    """``(2 / rw) * sum_j (-D X[:, j], Y[:, j])`` in rational arithmetic, for
+    one cell's ``[q, N]`` corner values, every float taken as exact."""
+    q, N = len(X), len(X[0])
+    total = sum(-Fraction(D[a][b]) * X[a][j] * Y[b][j]
+                for a in range(q) for b in range(q) for j in range(N))
+    return 2 * total / Fraction(rw)
+
+
+def test_tuple_measures_match_exact_values_on_small_cells(nona_hs):
+    # a deep cell's measure is O(diameter**2) while its corner values are
+    # O(1): the 50 smallest cells of nonagasket level 6, against the values
+    # of the float A_i, r and D evaluated exactly
+    hs, n = nona_hs, 6
+    alphas = np.array([[1.0, 0.0, -1.0], [0.5, -1.0, 0.5]])
+    mu = tuple_cell_measures(hs, HarmonicTuple(alphas), n)
+    A = [[[Fraction(x) for x in row] for row in Ai] for Ai in hs.A.tolist()]
+    for code in np.argsort(mu)[:50].tolist():
+        word = decode_word(code, n, hs.spec.letters)
+        X = [[Fraction(x) for x in row] for row in alphas.T.tolist()]  # [q, N]
+        rw = Fraction(1)
+        for letter in word:
+            X = [[sum(A[letter][a][b] * X[b][j] for b in range(len(X)))
+                  for j in range(len(X[0]))] for a in range(len(X))]
+            rw *= Fraction(hs.r[letter])
+        exact = exact_form(hs.D.tolist(), rw, X, X)
+        assert abs(Fraction(mu[code]) - exact) <= Fraction(1e-9) * exact, word
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cell_form_matches_exact_quadratic_form(data):
+    # pair form of any valid D: (-D X, Y) = sum_{a<b} D_ab (X_a - X_b)(Y_a - Y_b)
+    q = data.draw(st.integers(3, 6))
+    cells, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    a, b = np.triu_indices(q, 1)
+    # eighths keep the row sums exact, so the constants are D's exact kernel
+    off = data.draw(arrays(np.float64, len(a), elements=st.integers(0, 40).map(lambda i: i / 8)))
+    D = np.zeros((q, q))
+    D[a, b] = D[b, a] = off
+    D -= np.diag(D.sum(axis=1))
+    assume(check_dirichlet_matrix(D).ok)
+    rw = data.draw(arrays(np.float64, cells, elements=st.floats(1e-6, 1.0)))
+    # no value so small that its products underflow
+    values = arrays(np.float64, (cells, q, N),
+                    elements=st.integers(-2 ** 30, 2 ** 30).map(lambda i: i / 2 ** 30))
+    # corner values close together, as on small cells, make a quadratic form
+    # in the raw values cancel
+    offset = data.draw(st.floats(-10, 10))
+    spread = data.draw(st.sampled_from([1.0, 1e-4, 1e-8]))
+    X = offset + spread * data.draw(values)
+    Y = offset + spread * data.draw(values)
+    energy, pairing = cell_form(D, rw, X).tolist(), cell_form(D, rw, X, Y).tolist()
+    for c in range(cells):
+        Xc = [[Fraction(x) for x in row] for row in X[c].tolist()]
+        Yc = [[Fraction(x) for x in row] for row in Y[c].tolist()]
+        xx, yy = exact_form(D.tolist(), rw[c], Xc, Xc), exact_form(D.tolist(), rw[c], Yc, Yc)
+        assert abs(Fraction(energy[c]) - xx) <= Fraction(1e-12) * xx
+        # a pairing is bounded by the geometric mean of the two energies
+        xy = exact_form(D.tolist(), rw[c], Xc, Yc)
+        assert (Fraction(pairing[c]) - xy) ** 2 <= Fraction(1e-24) * xx * yy
+
+
+def test_cell_form_independent_of_block(monkeypatch):
+    # blocks of 7 cells put seams inside the table; every cell keeps its bits
+    rng = np.random.default_rng(50)
+    X, Y = rng.normal(size=(2, 1000, 3, 2))
+    rw = rng.uniform(0.1, 1.0, size=1000)
+    whole = [cell_form(UNIT_TRIANGLE_D, rw, X), cell_form(UNIT_TRIANGLE_D, rw, X, Y)]
+    monkeypatch.setattr(measures, "_FORM_BLOCK_CELLS", 7)
+    assert np.array_equal(cell_form(UNIT_TRIANGLE_D, rw, X), whole[0])
+    assert np.array_equal(cell_form(UNIT_TRIANGLE_D, rw, X, Y), whole[1])
 
 
 def test_whole_set_measure_single_component(sg2_hs):

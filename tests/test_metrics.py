@@ -450,6 +450,14 @@ def test_certificate_feasible_on_hexagasket(hexa_ctx):
     assert cert.feasible
 
 
+def test_certificate_slack_does_not_cancel_on_nonagasket(nona_hs):
+    # some cells have corners collinear in the embedding and tight for the
+    # profile, so their exact slack is 0; computed from corner differences it
+    # stays at rounding level instead of growing as the cells shrink
+    cert = intrinsic_certificate(MetricContext(nona_hs), CORNER[0], CORNER[1], 6)
+    assert cert.slack.min_slack / cert.slack.scale >= -1e-15
+
+
 def test_default_cap_exceeds_walk_values(sg2_ctx):
     cap = default_cap(sg2_ctx)
     walk = discrete_geodesic(sg2_ctx, CORNER[0], CORNER[1], 6).value
