@@ -71,7 +71,6 @@ class LevelData:
     hs: HarmonicStructure
     h: HarmonicTuple
     level: int
-    graph: sp.csr_matrix | None = None
 
     @functools.cached_property
     def cell_values(self) -> np.ndarray:
@@ -87,6 +86,11 @@ class LevelData:
     def mu(self) -> np.ndarray:
         """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
         return cell_form(self.hs.D, renorm_products(self.hs.r, self.level), self.cell_values)
+
+    @functools.cached_property
+    def graph(self) -> sp.csr_matrix:
+        """Corner-length walk graph of the level, as :func:`weighted_level_graph`."""
+        return _walk_graph(self.lg, _corner_lengths(self.cell_values))
 
 
 class MetricContext:
@@ -199,10 +203,7 @@ def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     :class:`LevelData` until ``ctx.evict(n)``; like the level itself, building
     it is not thread-safe.
     """
-    data = ctx.level(n)
-    if data.graph is None:
-        data.graph = _walk_graph(data.lg, corner_walks(ctx, n, n))
-    return data.graph
+    return ctx.level(n).graph
 
 
 def _dijkstra(graph: sp.csr_matrix, sources, *, predecessors: bool = False):
@@ -392,8 +393,9 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     domination constraints at level ``n``.
 
     Diagnostic solver: penalty-weighted ascent direction, exact per-cell
-    feasibility line search, step (at most 0.05) halved when a proposal cannot
-    improve.
+    feasibility line search, step at most 0.05.  It stops at the first
+    direction that cannot move ``f``; ``converged`` says it stopped so within
+    ``budget``, and ``iterations`` counts the directions, that one included.
     Start point is the certificate profile, so the reported value never drops
     below it; values are nondecreasing across iterations.  Constraints are
     imposed on the level-``n`` cells; sums over subtrees then dominate every
@@ -407,7 +409,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     mu = data.mu
     scale = float(mu.sum())
 
-    f = cert.values.astype(float).copy()
+    f = cert.values.astype(float)
     best = float(f[y_id] - f[x_id])
     history = [best]
     if budget <= 0:
@@ -422,47 +424,42 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     obj_grad[y_id] = 1.0
     obj_grad[x_id] = -1.0
 
-    eta = 0.05
     iterations = 0
+    converged = False
     eps = 1e-9 * scale / max(len(mu), 1)
+    slack = cert.slack.slack[-1]  # mu minus the cell energies of f
     for iterations in range(1, budget + 1):
-        e = cell_form(D, rw, f[cells])
-        slack = mu - e
+        if iterations > 1:
+            slack = mu - cell_form(D, rw, f[cells])
         # reciprocal-slack penalty steers mass away from nearly tight cells
         wpen = 1.0 / np.maximum(slack, eps)
-        wpen *= 0.25 * eta / wpen.max()
+        wpen *= 0.25 * 0.05 / wpen.max()
         coef = f[u]
         coef -= f[v]
         coef *= (pair_grad * (wpen / rw)).ravel()
         d = obj_grad - np.bincount(u, coef, len(f)) + np.bincount(v, coef, len(f))
         gain = d[y_id] - d[x_id]
         if gain <= 0:
-            eta *= 0.5
-            if eta < 1e-12:
-                break
-            continue
+            converged = True
+            break
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
         a = cell_form(D, rw, d[cells])
         b = 2.0 * cell_form(D, rw, f[cells], d[cells])
-        room = slack
         with np.errstate(divide="ignore", invalid="ignore"):
-            disc = b * b + 4.0 * a * room
+            disc = b * b + 4.0 * a * slack
             tq = np.where(a > 1e-300, (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a),
                           np.inf)
-            tl = np.where((a <= 1e-300) & (b > 0), room / b, np.inf)
+            tl = np.where((a <= 1e-300) & (b > 0), slack / b, np.inf)
         t_max = float(min(np.min(tq), np.min(tl)))
-        t = min(eta, 0.995 * t_max)
+        t = min(0.05, 0.995 * t_max)
         if t <= 0 or not math.isfinite(t) or t * gain < 1e-16 * max(best, 1.0):
-            eta *= 0.5
-            if eta < 1e-12:
-                break
-            continue
+            converged = True
+            break
         f = f + t * d
         val = float(f[y_id] - f[x_id])
         if val > best:
             best = val
         history.append(best)
-    converged = eta < 1e-12
     return EstimateResult(best, cert.certified_value, iterations, converged, n, history)
 
 

@@ -480,6 +480,24 @@ def test_estimate_monotone_and_bounded(sg2_ctx):
     assert est.value <= 1.05 * hist.estimate
 
 
+def test_estimate_stops_at_first_unmoving_direction(sg2_ctx):
+    # once no direction moves, a larger budget buys no further iterations
+    runs = [intrinsic_estimate(sg2_ctx, CORNER[0], CORNER[1], 3, budget=b) for b in (40, 200)]
+    for est in runs:
+        assert est.converged is True
+        assert est.iterations <= 10
+    assert runs[0].value == runs[1].value
+    assert runs[0].history == runs[1].history
+
+
+def test_estimate_returns_certificate_when_nothing_moves(hexa_ctx):
+    est = intrinsic_estimate(hexa_ctx, CORNER[0], CORNER[1], 4)
+    assert est.converged is True
+    assert est.iterations == 1
+    assert est.value == est.certificate_value
+    assert est.history == [est.certificate_value]
+
+
 def test_embedding_level_zero_rows(sg2_ctx):
     assert np.allclose(sg2_ctx.coords(0), sg2_ctx.h.alphas.T, atol=1e-15)
     lg = sg2_ctx.level(0).lg
