@@ -123,12 +123,17 @@ def _write(path: str, text: str, lines=()) -> None:
     """Write ``text`` and then every string of ``lines`` to ``path``.
 
     ``text`` goes out in slices of ``_WRITE_SLICE`` characters, so encoding
-    a large table never holds a second full-size copy of it.
+    a large table never holds a second full-size copy of it.  The first
+    string of ``lines`` is formatted before the file is created, so a table
+    that cannot be formatted leaves no file behind.
     """
+    lines = iter(lines)
+    first = next(lines, "")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(text), _WRITE_SLICE):
             fh.write(text[start:start + _WRITE_SLICE])
+        fh.write(first)
         fh.writelines(lines)
 
 
@@ -209,6 +214,7 @@ def cmd_certify(args) -> int:
     y = VertexRef.parse(args.to)
     cert = metrics.intrinsic_certificate(ctx, x, y, args.level, cap=args.cap,
                                          tolerance=args.feasibility_tol)
+    slack = cert.slack.to_csv()
     stem = f"certificate_{_safe(x)}_{_safe(y)}_level{args.level}"
     _write(os.path.join(args.out, stem + ".json"), _json_text([
         ("level", str(cert.level)),
@@ -220,7 +226,7 @@ def cmd_certify(args) -> int:
         ("from", f"\"{x}\""),
         ("to", f"\"{y}\""),
     ]))
-    _write(os.path.join(args.out, stem + "_slack.csv"), cert.slack.to_csv())
+    _write(os.path.join(args.out, stem + "_slack.csv"), slack)
     print(f"certified lower bound {cert.certified_value:.17g} "
           f"(cap {cert.cap:.17g}, min slack {cert.slack.min_slack:.3e}, "
           f"feasible={str(cert.feasible).lower()})")

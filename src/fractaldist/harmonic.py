@@ -70,7 +70,7 @@ def default_boundary_matrix(q: int) -> np.ndarray:
     return np.ones((q, q)) - q * np.eye(q)
 
 
-def check_dirichlet_matrix(D: np.ndarray, report: ConditionReport | None = None) -> ConditionReport:
+def check_dirichlet_matrix(D: np.ndarray) -> ConditionReport:
     """Validate the boundary matrix: symmetric, nonpositive definite, kernel =
     constants, nonnegative off-diagonal."""
     D = np.asarray(D, dtype=float)
@@ -79,7 +79,7 @@ def check_dirichlet_matrix(D: np.ndarray, report: ConditionReport | None = None)
     asym = float(np.max(np.abs(D - D.T)))
     if asym > SYM_TOL:
         raise ValueError(f"boundary matrix not symmetric (max asymmetry {asym:.3e})")
-    rep = report if report is not None else ConditionReport()
+    rep = ConditionReport()
     w = np.linalg.eigvalsh(D)
     rep.add("nonpositive_definite", w.max() <= EIG_TOL, max(w.max(), 0.0),
             f"largest eigenvalue {w.max():.3e}")
@@ -127,29 +127,24 @@ def trace_form(M, keep: np.ndarray):
     """Eliminate all vertices outside ``keep`` from the quadratic form ``M``.
 
     Returns ``(traced, extend)`` where ``traced`` is the dense form on the kept
-    vertices realizing the minimum over extensions, and ``extend(values)``
-    reconstructs the minimizing extension on all vertices.
+    vertices, in ``keep`` order, realizing the minimum over extensions, and
+    ``extend(values)`` reconstructs the minimizing extension on all vertices,
+    placing ``values`` at ``keep``.
     """
-    M = sp.csr_matrix(M)
+    M = sp.csr_matrix(M).toarray()
     n = M.shape[0]
     keep = np.asarray(keep, dtype=np.int64)
     mask = np.zeros(n, dtype=bool)
     mask[keep] = True
     elim = np.nonzero(~mask)[0]
-    A = M[keep][:, keep].toarray()
-    if elim.size == 0:
-        def extend_id(values):
-            return np.asarray(values, dtype=float).copy()
-        return A, extend_id
-    B = M[keep][:, elim].toarray()
-    C = M[elim][:, elim].toarray()
+    B = M[np.ix_(keep, elim)]
     try:
-        solve_C = np.linalg.solve(C, B.T)
+        solve_C = np.linalg.solve(M[np.ix_(elim, elim)], B.T)
     except np.linalg.LinAlgError:
         raise DegenerateFormError("eliminated block is singular") from None
     if not np.all(np.isfinite(solve_C)):
         raise DegenerateFormError("eliminated block is numerically singular")
-    traced = A - B @ solve_C
+    traced = M[np.ix_(keep, keep)] - B @ solve_C
 
     def extend(values):
         v = np.asarray(values, dtype=float)
@@ -188,6 +183,8 @@ def solve_equal_renormalization(spec: FractalSpec, D: np.ndarray) -> float:
     target = -D
     num = float(np.sum(traced * target))
     den = float(np.sum(target * target))
+    if den == 0.0:
+        raise DegenerateFormError("boundary matrix is zero to working precision")
     c = num / den
     dev = float(np.max(np.abs(traced - c * target)))
     scale = float(np.max(np.abs(target)))
@@ -305,8 +302,7 @@ def check_structure_conditions(hs: HarmonicStructure) -> ConditionReport:
     statement is not decidable from combinatorial data).
     """
     spec = hs.spec
-    rep = ConditionReport()
-    check_dirichlet_matrix(hs.D, rep)
+    rep = check_dirichlet_matrix(hs.D)
     rmin, rmax = float(hs.r.min()), float(hs.r.max())
     rep.add("weights_in_unit_interval", 0.0 < rmin and rmax < 1.0, 0.0,
             f"r in [{rmin:.12g}, {rmax:.12g}]")

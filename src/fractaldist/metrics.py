@@ -626,18 +626,6 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     return W
 
 
-_WORKER_GRAPH: sp.csr_matrix | None = None
-
-
-def _worker_init(graph):
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = graph
-
-
-def _worker_chunk(chunk: np.ndarray) -> np.ndarray:
-    return _dijkstra(_WORKER_GRAPH, chunk)
-
-
 def distance_matrix(ctx: MetricContext, source_level: int, n: int,
                     workers: int = 1) -> np.ndarray:
     """All-pairs shortest-walk matrix between the level-``source_level``
@@ -655,8 +643,10 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
     first: the streamed reduction holds little, but its time grows with it.
 
     With ``workers > 1`` the sources are split into contiguous chunks handled
-    by forked worker processes; each source's run is independent, so the
-    result is identical to the serial one regardless of the worker count.
+    by forked worker processes.  Each chunk's task carries the skeleton graph
+    with it; the workers share no state.  Each source's run is independent,
+    so the result is identical to the serial one regardless of the worker
+    count.
     """
     if n < source_level:
         raise ValueError("graph level must be at least the source level")
@@ -669,7 +659,6 @@ def distance_matrix(ctx: MetricContext, source_level: int, n: int,
         return _dijkstra(graph, sources)
     chunks = [c for c in np.array_split(sources, workers) if len(c)]
     mp = multiprocessing.get_context("fork")
-    with mp.Pool(processes=len(chunks), initializer=_worker_init,
-                 initargs=(graph,)) as pool:
-        parts = pool.map(_worker_chunk, chunks)
+    with mp.Pool(processes=len(chunks)) as pool:
+        parts = pool.map(functools.partial(_dijkstra, graph), chunks)
     return np.vstack(parts)

@@ -148,6 +148,21 @@ def assert_usage_error(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", [
+    ["profile", "--from=-:0", "--level", "1"],
+    ["embed", "--level", "1"],
+    ["certify", "--from=-:0", "--to=-:1", "--level", "1"],
+    ["measures", "--depth", "1"],
+], ids=["profile", "embed", "certify", "measures"])
+def test_unspellable_words_leave_no_file(tmp_path, capsys, command):
+    # gasket:9 has 45 cells, more than the 36 digits that spell a word, so
+    # every table fails while it is formatted
+    code, out = run_cli(tmp_path, "--spec", "gasket:9", *command)
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot spell words over 45 letters with 36 digits\n"
+    assert not os.path.exists(out)
+
+
 def test_measures_depth_past_the_limit_fails_first(tmp_path, capsys, monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("cell arrays allocated before the size check")

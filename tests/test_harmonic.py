@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fractaldist.errors import (
     BrokenStructureError,
     DegenerateFormError,
+    FractalDistError,
     NoEqualWeightStructureError,
 )
 from fractaldist.harmonic import (
@@ -132,6 +134,19 @@ def test_trace_keep_all_is_identity(sg2_spec, sg2_hs):
     assert np.array_equal(extend(v), v)
 
 
+def test_trace_keep_permutation_of_all_vertices(sg2_spec, sg2_hs):
+    # with nothing to eliminate, the traced form is M in keep order, and the
+    # extension places the values at keep
+    lg = build_level(sg2_spec, 1)
+    M = assemble_discrete_form(sg2_hs.D, np.ones(3), lg)
+    keep = np.random.default_rng(5).permutation(lg.num_vertices)
+    assert not np.array_equal(keep, np.arange(lg.num_vertices))
+    traced, extend = trace_form(M, keep)
+    assert np.array_equal(traced, M.toarray()[np.ix_(keep, keep)])
+    v = np.arange(float(lg.num_vertices))
+    assert np.array_equal(extend(v)[keep], v)
+
+
 def test_trace_degenerate_block():
     import scipy.sparse as sp
     M = sp.csr_matrix(np.zeros((3, 3)))
@@ -168,6 +183,13 @@ def test_no_equal_weight_structure_error():
     spec = FractalSpec("chain", 3, 3, (0, 1, 2), ((0, 1, 1, 0), (1, 2, 2, 1)))
     with pytest.raises(NoEqualWeightStructureError):
         solve_equal_renormalization(spec, default_boundary_matrix(3))
+
+
+def test_equal_weight_solve_of_an_underflowing_form(sg2_spec):
+    # the squared entries of D underflow to zero, so the form has no
+    # measurable size to be proportional to
+    with pytest.raises(DegenerateFormError):
+        solve_equal_renormalization(sg2_spec, 1e-200 * default_boundary_matrix(3))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +234,45 @@ def test_eigen_residuals_all_builtins(sg2_hs, sg3_hs, hexa_hs, nona_hs):
             ri = hs.r[letter]
             assert np.max(np.abs(hs.A[letter] @ v - ri * v)) < 1e-10
             assert np.max(np.abs(hs.A[letter].T @ u - ri * u)) < 1e-10
+
+
+def random_boundary_matrix(data, q):
+    """A finite ``q x q`` matrix of one drawn kind: asymmetric, symmetric,
+    symmetric with zero row sums, or a zero-row-sum one with integer
+    conductances."""
+    kind = data.draw(st.sampled_from(["asymmetric", "symmetric", "zero-row-sum", "integer"]))
+    entries = (st.integers(0, 3) if kind == "integer"
+               else st.floats(-10, 10, allow_subnormal=False))
+    M = data.draw(arrays(np.float64, (q, q), elements=entries))
+    if kind == "asymmetric":
+        return M
+    S = np.triu(M, 1) + np.triu(M, 1).T
+    if kind == "symmetric":
+        return S + np.diag(np.diag(M))
+    return S - np.diag(S.sum(axis=1))
+
+
+@pytest.mark.parametrize("kind, param", [("gasket", 2), ("gasket", 3), ("polygasket", 6)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_build_random_matrix_and_weights(kind, param, data):
+    # build either returns a structure or fails with the library's own
+    # errors; numpy's LinAlgError is a ValueError too, so it is ruled out
+    spec = generate_spec(kind, param)
+    D = random_boundary_matrix(data, spec.boundary)
+    weights = st.floats(-0.5, 1.5, allow_subnormal=False)
+    r = data.draw(st.one_of(st.none(), weights,
+                            arrays(np.float64, (spec.letters,), elements=weights)))
+    try:
+        hs = HarmonicStructure.build(spec, D, r)
+    except (FractalDistError, ValueError) as exc:
+        assert not isinstance(exc, np.linalg.LinAlgError), exc
+        return
+    assert np.all(np.isfinite(hs.A))
+    try:
+        check_structure_conditions(hs)
+    except (FractalDistError, ValueError) as exc:
+        assert not isinstance(exc, np.linalg.LinAlgError), exc
 
 
 def test_broken_structure_error(sg2_spec):

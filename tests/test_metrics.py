@@ -38,7 +38,7 @@ from fractaldist.structure import (
     vertex_rows,
 )
 
-from conftest import UNIT_TRIANGLE_D
+from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -456,6 +456,36 @@ def test_certificate_slack_does_not_cancel_on_nonagasket(nona_hs):
     # stays at rounding level instead of growing as the cells shrink
     cert = intrinsic_certificate(MetricContext(nona_hs), CORNER[0], CORNER[1], 6)
     assert cert.slack.min_slack / cert.slack.scale >= -1e-15
+
+
+@functools.cache
+def certificate_hs(name):
+    if name == "two-corner":
+        return HarmonicStructure.build(FractalSpec.from_json_dict(TWO_CORNER_FIELDS))
+    return builtin_hs(name)
+
+
+@pytest.mark.parametrize("name, max_level", [("gasket:2", 5), ("gasket:3", 3),
+                                             ("polygasket:6", 3), ("polygasket:9", 2),
+                                             ("two-corner", 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_certificate_on_random_tuples(name, max_level, data):
+    # gasket:2 is built with the default D, the unit-conductance matrix
+    hs = certificate_hs(name)
+    q = hs.spec.boundary
+    alphas = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), q),
+                              elements=st.floats(-10, 10, allow_subnormal=False)))
+    rounded = data.draw(arrays(bool, (len(alphas), 1)))
+    alphas = np.where(rounded, np.round(alphas), alphas)
+    assume(np.ptp(alphas, axis=1).max() > 1e-12)
+    n = data.draw(st.integers(0, max_level))
+    a, b = data.draw(st.permutations(range(q)))[:2]
+    ctx = MetricContext(hs, HarmonicTuple(alphas))
+    cert = intrinsic_certificate(ctx, CORNER[a], CORNER[b], n)
+    assert cert.feasible, cert.slack.min_slack / cert.slack.scale
+    walk = discrete_geodesic(ctx, CORNER[a], CORNER[b], n).value
+    assert cert.certified_value == min(walk, cert.cap)
 
 
 def test_default_cap_exceeds_walk_values(sg2_ctx):
