@@ -9,16 +9,19 @@ limit is the geodesic distance through the embedding.
 Every Dijkstra runs on a walk graph built by :func:`_walk_graph`: the
 vertices of one level, joined inside each of its cells with one weight per
 corner pair.  Where cells share a vertex pair, the shorter weight is kept.
-Profiles and certificates, which need every vertex, weight the level-``n``
-graph by its own corner lengths (:func:`weighted_level_graph`).  Walk
-lengths between fixed references (:func:`geodesic_converge`,
-:func:`distance_matrix`) never build the level-``n`` graph: a walk crosses a
-cell only through its corners, so the corner-to-corner lengths of the
-level-``n`` cells are reduced up the cell tree in the (min, +) semiring by a
-schedule fixed per spec (:func:`reduction_schedule`), and Dijkstra runs on
-the small graph of the references' own level, weighted by those reductions.
-The level-``n`` cells are expanded and reduced one block of subtrees at a
-time (:func:`corner_walks`), so these routes never hold a whole level.
+No distance route builds the level-``n`` graph.  A walk crosses a cell only
+through its corners, so the corner-to-corner lengths of the level-``n`` cells
+are reduced up the cell tree in the (min, +) semiring by a schedule fixed per
+spec (:func:`reduction_schedule`), and Dijkstra runs on the small graph of
+the references' own level, weighted by those reductions.  Walk lengths
+between fixed references (:func:`geodesic_converge`, :func:`distance_matrix`)
+stop there; their level-``n`` cells are expanded and reduced one block of
+subtrees at a time (:func:`corner_walks`), so they never hold a whole level.
+Profiles and certificates, which need every vertex, keep each level's
+elimination table on the way up and run the elimination backwards on the way
+down (:func:`geodesic_profile`).  The level-``n`` graph itself
+(:func:`weighted_level_graph`) serves the ``graph`` export and the path of
+:func:`discrete_geodesic`.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import FractalDistError, ResourceLimitError
@@ -57,16 +61,21 @@ from .structure import (
     build_level,
     cell_pairs,
     level_address_count,
+    lift,
 )
 
 MONOTONE_TOL = 1e-12
+# edges within this fraction of the walk's value of tight are walked back
+# by discrete_geodesic: profiles are sums in another order than the path's
+PATH_RTOL = 1e-12
 
 
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request:
     each cell's tuple boundary values, the vertex graph, the tuple's cell
-    measures and the weighted walk graph (see :func:`weighted_level_graph`)."""
+    measures and the weighted walk graph (see :func:`weighted_level_graph`;
+    no distance route reads it)."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
@@ -112,9 +121,14 @@ class MetricContext:
         return self.h.n_components
 
     @functools.cached_property
+    def pattern(self) -> LevelGraph:
+        """Level-1 glue pattern: the copy of it that every parent cell holds."""
+        return build_level(self.spec, 1)
+
+    @functools.cached_property
     def schedule(self) -> ReductionSchedule:
         """Min-plus elimination schedule of the spec's level-1 pattern."""
-        return reduction_schedule(build_level(self.spec, 1))
+        return reduction_schedule(self.pattern)
 
     def level(self, n: int) -> LevelData:
         """Cache entry of level ``n``; its address count is checked before
@@ -197,7 +211,9 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
 
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     """Symmetric CSR adjacency of the level-``n`` walk graph: :func:`_walk_graph`
-    on the level's cells, weighted by their embedded corner lengths.
+    on the level's cells, weighted by their embedded corner lengths.  It
+    serves the ``graph`` export and the path of :func:`discrete_geodesic`;
+    distances never run on it.
 
     Built on the first request for the level and kept on its
     :class:`LevelData` until ``ctx.evict(n)``; like the level itself, building
@@ -206,10 +222,9 @@ def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     return ctx.level(n).graph
 
 
-def _dijkstra(graph: sp.csr_matrix, sources, *, predecessors: bool = False):
+def _dijkstra(graph: sp.csr_matrix, sources):
     # the stored matrix is already symmetrized, so row-only traversal suffices
-    return _csgraph_dijkstra(graph, indices=sources, directed=True,
-                             return_predecessors=predecessors)
+    return _csgraph_dijkstra(graph, indices=sources, directed=True)
 
 
 @dataclass
@@ -222,25 +237,72 @@ class GeodesicResult:
 
 
 def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
-    """Single-source shortest walk lengths from ``x`` on the level-``n`` graph."""
-    graph = weighted_level_graph(ctx, n)
-    src = ctx.vertex_id(x, n)
-    return np.asarray(_dijkstra(graph, src))
+    """Single-source shortest walk lengths from ``x`` to every level-``n``
+    vertex, without the level-``n`` graph.
+
+    The level's corner lengths are reduced up the cell tree to the level
+    ``m`` of ``x`` (:func:`_reduce_cells`), keeping each level's elimination
+    table; Dijkstra runs on the level-``m`` skeleton, as in
+    :func:`geodesic_converge`; the tables are then run backwards down the
+    tree (:func:`_fill_patterns`), and the level-``n`` cells' corners are
+    scattered to their vertex ids.  Every vertex is a node of one parent's
+    pattern, or a skeleton vertex, and takes its value there; identified
+    corners copy it, so the profile does not depend on the scatter order.
+    """
+    data = ctx.level(n)
+    lift(ctx.spec, x, n)  # x must name a vertex of level n
+    m = x.level
+    W = _corner_lengths(data.cell_values)
+    tables = []
+    for _ in range(n - m):
+        tables.append(_reduce_cells(W, ctx.schedule, table=True))
+        W = tables[-1][list(ctx.schedule.corners)]
+    src_lg = ctx.level(m).lg
+    d = _dijkstra(_walk_graph(src_lg, W), src_lg.vertex_id(x))
+    if not tables:
+        return d
+    pattern, k = ctx.pattern, ctx.spec.letters
+    corners = d[src_lg.cells.T]
+    while True:
+        nodes = _fill_patterns(corners, tables.pop(), ctx.schedule, pattern)
+        if not tables:
+            break
+        # corner a of child j of parent P is node cells[j, a] of P's pattern
+        corners = nodes[pattern.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
+    phi = np.empty(data.lg.num_vertices)
+    # each node is written once, through its first (child, corner) address
+    ids, first = np.unique(pattern.cells, return_index=True)
+    for v, j, a in zip(ids, *np.divmod(first, len(corners))):
+        phi[data.lg.cells[j::k, a]] = nodes[v]
+    return phi
 
 
 def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) -> GeodesicResult:
-    """Exact shortest walk between ``x`` and ``y`` at level ``n``."""
-    graph = weighted_level_graph(ctx, n)
+    """Shortest walk between ``x`` and ``y`` at level ``n``.
+
+    The value is read from :func:`geodesic_profile`.  The path is walked back
+    from ``y`` along the edges of :func:`weighted_level_graph` that the
+    profile holds tight, ``phi[u] + w <= phi[v]`` up to ``PATH_RTOL`` of the
+    value: a breadth-first search, so it ends on zero-weight edges too.
+    """
+    phi = geodesic_profile(ctx, x, n)
     src = ctx.vertex_id(x, n)
     dst = ctx.vertex_id(y, n)
-    dist, pred = _dijkstra(graph, src, predecessors=True)
-    if not np.isfinite(dist[dst]):
+    value = float(phi[dst])
+    if not math.isfinite(value):
         raise FractalDistError(f"level-{n} graph is disconnected between {x} and {y}")
-    path = [dst]
-    while path[-1] != src:
+    graph = weighted_level_graph(ctx, n)
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    tight = phi[graph.indices] + graph.data <= phi[rows] + PATH_RTOL * value
+    back = sp.csr_matrix((np.ones(np.count_nonzero(tight)),
+                          (rows[tight], graph.indices[tight])), shape=graph.shape)
+    _, pred = breadth_first_order(back, dst, return_predecessors=True)
+    if src != dst and pred[src] < 0:
+        raise FractalDistError(f"no tight level-{n} walk from {x} to {y}")
+    path = [src]
+    while path[-1] != dst:
         path.append(int(pred[path[-1]]))
-    path.reverse()
-    return GeodesicResult(float(dist[dst]), path, n)
+    return GeodesicResult(value, path, n)
 
 
 @dataclass
@@ -439,9 +501,6 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
         coef *= (pair_grad * (wpen / rw)).ravel()
         d = obj_grad - np.bincount(u, coef, len(f)) + np.bincount(v, coef, len(f))
         gain = d[y_id] - d[x_id]
-        if gain <= 0:
-            converged = True
-            break
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
         a = cell_form(D, rw, d[cells])
         b = 2.0 * cell_form(D, rw, f[cells], d[cells])
@@ -484,6 +543,9 @@ class ReductionSchedule:
     child weight laid on it.  ``updates`` lists ``(dst, a, b)`` row
     operations ``G[dst] = min(G[dst], G[a] + G[b])``, and ``corners`` holds
     the slot of each parent corner pair in ``np.triu_indices(q, 1)`` order.
+    ``eliminated`` lists the interior nodes in elimination order, each with
+    ``(neighbour, slot)`` for the neighbours it had when it was eliminated:
+    what :func:`_fill_patterns` reads to run the elimination backwards.
     """
 
     letters: int
@@ -491,6 +553,7 @@ class ReductionSchedule:
     seeds: tuple[tuple[int, int, int], ...]
     updates: tuple[tuple[int, int, int], ...]
     corners: tuple[int, ...]
+    eliminated: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
@@ -522,30 +585,34 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
 
     updates = []
 
-    def pivot(x: int, alive: set[int]) -> None:
+    def pivot(x: int, alive: set[int]) -> list[int]:
         around = sorted(adjacent[x] & alive)
         for s, u in enumerate(around):
             for v in around[s + 1:]:
                 updates.append((slot_of(u, v), slot_of(u, x), slot_of(x, v)))
                 adjacent[u].add(v)
                 adjacent[v].add(u)
+        return around
 
     corners = [int(c) for c in pattern.boundary_ids]
     alive = set(adjacent)
     interior = alive - set(corners)
+    eliminated = []
     while interior:
         x = min(interior, key=lambda v: (len(adjacent[v] & alive), v))
         interior.remove(x)
         alive.remove(x)
-        pivot(x, alive)
+        around = pivot(x, alive)
+        eliminated.append((x, tuple((u, slot_of(x, u)) for u in around)))
     for c in corners:
         pivot(c, alive - {c})
     closed = tuple(slot_of(corners[i], corners[j]) for i, j in zip(a, b))
     return ReductionSchedule(pattern.spec.letters, len(slot), tuple(seeds),
-                             tuple(updates), closed)
+                             tuple(updates), closed, tuple(eliminated))
 
 
-def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
+def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule, *,
+                  table: bool = False) -> np.ndarray:
     """One step up the cell tree in the (min, +) semiring.
 
     ``W[p, c]`` is the shortest walk inside child cell ``c`` between the
@@ -554,12 +621,15 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     are contiguous).  Each parent is a copy of the level-1 pattern with every
     child's weights on its corners; the ``schedule`` runs on a ``[slots,
     parents]`` array, one row operation over all parents of a block at a
-    time.  Returns the same ``[pairs, P]`` table for the parents.
+    time.  Returns the same ``[pairs, P]`` table for the parents, or with
+    ``table`` the whole ``[slots, P]`` array, whose ``schedule.corners``
+    rows are that table.
     """
     pairs = W.shape[0]
     children = W.reshape(pairs, -1, schedule.letters)
     P = children.shape[1]
-    out = np.empty((pairs, P))
+    rows = slice(None) if table else list(schedule.corners)
+    out = np.empty((schedule.slots if table else pairs, P))
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part = children[:, s:s + block]
@@ -570,8 +640,39 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
         for dst, u, v in schedule.updates:
             np.add(G[u], G[v], out=via)
             np.minimum(G[dst], via, out=G[dst])
-        out[:, s:s + block] = G[list(schedule.corners)]
+        out[:, s:s + block] = G[rows]
     return out
+
+
+def _fill_patterns(corner_d: np.ndarray, G: np.ndarray, schedule: ReductionSchedule,
+                   pattern: LevelGraph) -> np.ndarray:
+    """One step down the cell tree in the (min, +) semiring: the back
+    substitution of the elimination that :func:`_reduce_cells` ran forwards.
+
+    ``corner_d[a, P]`` is the distance from the source to corner ``a`` of
+    parent ``P``, and ``G`` the parents' ``[slots, P]`` table.  The source
+    lies in no parent's interior, so a shortest walk to a pattern node enters
+    its parent last through a corner.  The nodes are filled in reverse
+    elimination order, ``d(x) = min_u d(u) + G[slot(x, u)]`` over the
+    neighbours ``u`` that ``x`` had when it was eliminated: they are filled
+    before ``x``, and ``G`` holds the shortest walks to them through the
+    nodes eliminated before ``x``.  Returns ``[nodes, P]`` distances at every
+    pattern node of each parent.
+    """
+    P = G.shape[1]
+    nodes = np.empty((pattern.num_vertices, P))
+    nodes[pattern.boundary_ids] = corner_d
+    block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
+    for s in range(0, P, block):
+        part, g = nodes[:, s:s + block], G[:, s:s + block]
+        via = np.empty(part.shape[1])
+        for x, around in reversed(schedule.eliminated):
+            d = part[x]
+            d.fill(np.inf)
+            for u, slot in around:
+                np.add(part[u], g[slot], out=via)
+                np.minimum(d, via, out=d)
+    return nodes
 
 
 def _prefix_level(k: int, n: int, m: int) -> int:

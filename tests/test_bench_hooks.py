@@ -30,6 +30,10 @@ def test_tracer_hooks_resolve_and_restore(tmp_path):
         assert cert.feasible
         assert cli.main(["--spec", "gasket:2", "--out", str(tmp_path), "certify",
                          "--from=-:0", "--to=-:1", "--level", "2"]) == 0
+        # certificates run on the cell tree; the graph export still builds
+        # the level's walk graph
+        assert cli.main(["--spec", "gasket:2", "--out", str(tmp_path), "graph",
+                         "--level", "2"]) == 0
     finally:
         tr.restore()
     recorded = {span.name for span in tr.spans}

@@ -206,7 +206,8 @@ def test_geodesic_converge_matches_level_dijkstra(request, hs_fixture, alphas, r
             assert hist.entries[-1][0] == n_max
         assert hist.entries[0][0] == max(x.level, y.level)
         for n, value in hist.entries:
-            oracle = discrete_geodesic(ctx, x, y, n).value
+            oracle = csgraph_dijkstra(weighted_level_graph(ctx, n), directed=True,
+                                      indices=ctx.vertex_id(x, n))[ctx.vertex_id(y, n)]
             assert abs(value - oracle) <= 1e-12 * oracle, (str(x), str(y), n)
 
 
@@ -270,6 +271,116 @@ def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     # level 0 is the references' own, read whole; every deeper level is
     # streamed once and its table shared by the three pairs
     assert sorted(calls) == list(range(1, 6))
+
+
+PROFILE_CASES = [("sg2_hs", 7), ("sg3_hs", 5), ("hexa_hs", 5), ("nona_hs", 4),
+                 ("two_corner_hs", 5)]
+
+
+def profile_sources(q, n):
+    """Every corner, and two interior vertices of deeper levels."""
+    refs = [VertexRef((), a) for a in range(q)]
+    return refs + [r for r in (VertexRef((1, 0), q - 1), VertexRef((0, 1, 1), 0))
+                   if r.level <= n]
+
+
+@pytest.mark.parametrize("hs_fixture, n", PROFILE_CASES)
+def test_profile_matches_level_dijkstra(request, hs_fixture, n):
+    ctx = MetricContext(request.getfixturevalue(hs_fixture))
+    graph = weighted_level_graph(ctx, n)
+    for x in profile_sources(ctx.spec.boundary, n):
+        phi = geodesic_profile(ctx, x, n)
+        oracle = csgraph_dijkstra(graph, directed=True, indices=ctx.vertex_id(x, n))
+        assert phi[ctx.vertex_id(x, n)] == 0.0
+        assert np.all(np.abs(phi - oracle) <= 1e-12 * oracle), str(x)
+
+
+@pytest.mark.parametrize("hs_fixture, n", PROFILE_CASES)
+def test_profile_matches_geodesic_converge_bits(request, hs_fixture, n):
+    # on the references' own level both read one skeleton Dijkstra
+    ctx = MetricContext(request.getfixturevalue(hs_fixture))
+    q = ctx.spec.boundary
+    pairs = list(itertools.combinations(CORNER[:q], 2)) + [
+        (VertexRef((1, 0), q - 1), VertexRef((1, 2), 0)),
+        (VertexRef((0, 1), 1), VertexRef((2, 2), 2))]
+    for x, y in pairs:
+        phi = geodesic_profile(ctx, x, n)
+        walk = geodesic_converge(ctx, x, y, n, rtol=0.0).entries[-1][1]
+        assert phi[ctx.vertex_id(y, n)] == walk, (str(x), str(y))
+
+
+@pytest.mark.parametrize("hs_fixture, n", PROFILE_CASES)
+def test_profile_blocks_identical(request, hs_fixture, n, monkeypatch):
+    ctx = MetricContext(request.getfixturevalue(hs_fixture))
+    x = VertexRef((1, 0), ctx.spec.boundary - 1)
+    whole = geodesic_profile(ctx, x, n)
+    # two parents per block, up and down the cell tree
+    monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * ctx.schedule.slots)
+    assert np.array_equal(geodesic_profile(ctx, x, n), whole)
+
+
+def test_certificate_builds_no_level_graph(sg2_hs, monkeypatch):
+    ctx = MetricContext(sg2_hs)
+    walked = []
+    walk_graph = metrics._walk_graph
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the level walk graph was assembled")
+
+    def skeleton(lg, W):
+        walked.append(lg.level)
+        return walk_graph(lg, W)
+
+    monkeypatch.setattr(metrics, "weighted_level_graph", not_reached)
+    monkeypatch.setattr(metrics, "_walk_graph", skeleton)
+    n = 5
+    for x in [CORNER[0], VertexRef((1, 0), 2), VertexRef((0, 1, 1), 0)]:
+        cert = intrinsic_certificate(ctx, x, CORNER[1], n)
+        assert cert.feasible
+        intrinsic_estimate(ctx, x, CORNER[1], n, budget=2)
+    # one skeleton per call, each on the source's own level
+    assert walked == [0, 0, 2, 2, 3, 3]
+    assert "graph" not in vars(ctx.level(n))
+
+
+@pytest.mark.parametrize("hs_fixture, n", PROFILE_CASES)
+def test_discrete_geodesic_path_is_shortest(request, hs_fixture, n):
+    ctx = MetricContext(request.getfixturevalue(hs_fixture))
+    graph = weighted_level_graph(ctx, n)
+    q = ctx.spec.boundary
+    for x, y in [(CORNER[0], CORNER[1]), (VertexRef((1, 0), q - 1), CORNER[q - 1])]:
+        res = discrete_geodesic(ctx, x, y, n)
+        assert res.path[0] == ctx.vertex_id(x, n) and res.path[-1] == ctx.vertex_id(y, n)
+        steps = list(zip(res.path, res.path[1:]))
+        # every step is an edge, and the steps add up to the value
+        assert all(graph[s, t] > 0 for s, t in steps)
+        length = sum(graph[s, t] for s, t in steps)
+        assert abs(length - res.value) <= 1e-12 * res.value
+
+
+def test_discrete_geodesic_on_zero_weight_graph(sg2_hs):
+    with pytest.warns(UserWarning, match="constant"):
+        ctx = MetricContext(sg2_hs, HarmonicTuple(np.ones((1, 3))))
+    res = discrete_geodesic(ctx, CORNER[0], CORNER[1], 3)
+    assert res.value == 0.0
+    assert res.path[0] == ctx.vertex_id(CORNER[0], 3)
+    assert res.path[-1] == ctx.vertex_id(CORNER[1], 3)
+    u, v, _ = edge_arrays(ctx, 3)
+    edge_set = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+    assert all((min(s, t), max(s, t)) in edge_set for s, t in zip(res.path, res.path[1:]))
+
+
+def test_discrete_geodesic_disconnected_raises(sg2_ctx, monkeypatch):
+    profile = metrics.geodesic_profile
+
+    def cut_off(ctx, x, n):
+        phi = profile(ctx, x, n)
+        phi[ctx.vertex_id(CORNER[1], n)] = np.inf
+        return phi
+
+    monkeypatch.setattr(metrics, "geodesic_profile", cut_off)
+    with pytest.raises(FractalDistError, match="disconnected"):
+        discrete_geodesic(sg2_ctx, CORNER[0], CORNER[1], 3)
 
 
 def test_quasi_metric_laws(sg2_ctx):
