@@ -3,9 +3,11 @@
 Every subcommand writes its numeric outputs as files under ``--out`` with a
 fixed 17-significant-digit format and rows ordered by canonical vertex id, so
 repeated runs of the same configuration are byte-identical.  Tables are
-formatted from arrays one block of rows at a time (words by
-:func:`~fractaldist.structure.word_column`), still in canonical-id order;
-profiles and graphs are streamed to the file block by block.
+spelled from arrays one block of rows at a time, in canonical-id order: each
+column becomes an ASCII character table (words, integers, and floats exactly
+as ``%.17g``) and :func:`~fractaldist.structure.csv_rows` joins a block's
+tables into text with no Python call per row.  Profiles and graphs are
+streamed to the file block by block.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ from . import metrics
 from .errors import FractalDistError, SpecValidationError
 from .harmonic import HarmonicStructure, check_structure_conditions
 from .measures import HarmonicTuple, cell_measure_table, default_tuple
-from .structure import FractalSpec, VertexRef, generate_spec, row_blocks, vertex_rows
+from .structure import (
+    FractalSpec,
+    VertexRef,
+    csv_rows,
+    float_chars,
+    generate_spec,
+    int_chars,
+    row_blocks,
+    vertex_rows,
+)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -172,8 +183,7 @@ def cmd_graph(args) -> int:
     graph = metrics.weighted_level_graph(ctx, args.level).tocoo()
     upper = graph.row < graph.col
     lo, hi, w = graph.row[upper], graph.col[upper], graph.data[upper]
-    rows = ("".join([f"{a},{b},{x:.17g}\n" for a, b, x in
-                     zip(lo[s].tolist(), hi[s].tolist(), w[s].tolist())])
+    rows = (csv_rows(int_chars(lo[s]), int_chars(hi[s]), float_chars(w[s]))
             for s in row_blocks(len(w)))
     _write(os.path.join(args.out, f"graph_level{args.level}.csv"), "u,v,weight\n", rows)
     print(f"level {args.level}: {graph.shape[0]} vertices, {len(w)} edges")

@@ -18,7 +18,10 @@ from .harmonic import HarmonicStructure, renorm_products
 from .structure import (
     LevelGraph,
     Word,
+    csv_rows,
     encode_word,
+    float_chars,
+    int_chars,
     level_address_count,
     row_blocks,
     word_column,
@@ -250,13 +253,13 @@ class SlackTable:
 
 def _depth_table_csv(column: str, per_depth: list[np.ndarray], k: int) -> str:
     """Rows ``word,depth,value`` of every cell, by depth and then by code,
-    formatted one block of rows at a time."""
+    spelled one block of rows at a time."""
     blocks = [f"word,depth,{column}\n"]
     for m, vals in enumerate(per_depth):
         for b in row_blocks(vals.size):
-            words = word_column(np.arange(b.start, b.stop), m, k)
-            blocks.append("".join([f"{word},{m},{val:.17g}\n"
-                                   for word, val in zip(words, vals[b].tolist())]))
+            codes = np.arange(b.start, b.stop)
+            blocks.append(csv_rows(word_column(codes, m, k), int_chars(np.full(codes.size, m)),
+                                   float_chars(vals[b])))
     return "".join(blocks)
 
 

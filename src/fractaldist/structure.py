@@ -31,7 +31,6 @@ from .errors import (
 Word = tuple[int, ...]
 
 _DIGITS = string.digits + string.ascii_lowercase
-_DIGIT_POINTS = np.array([ord(c) for c in _DIGITS], dtype=np.uint32)
 
 DEFAULT_MAX_ADDRESSES = 80_000_000
 
@@ -59,20 +58,21 @@ def decode_word(code: int, length: int, k: int) -> Word:
     return tuple(reversed(digits))
 
 
-def word_column(codes: np.ndarray, length: int, k: int) -> list[str]:
-    """Digit strings (``'-'`` for the empty word) of the length-``length``
-    words with big-endian cell codes ``codes``, as ``_word_to_str`` spells
-    them.  The ``[rows, length]`` letter table comes from one array ``divmod``
-    per letter; mapped to code points it is read as ``U{length}`` strings."""
+def word_column(codes: np.ndarray, length: int, k: int) -> np.ndarray:
+    """``[max(length, 1), rows]`` ASCII character table of the length-``length``
+    words with big-endian cell codes ``codes``, column ``i`` spelling word
+    ``i`` as ``_word_to_str`` does (``'-'`` for the empty word).  The letters
+    come from one array division per position."""
+    rest = np.asarray(codes, dtype=np.int64)
     if length == 0:
-        return ["-"] * len(codes)
+        return np.full((1, rest.size), ord("-"), dtype=np.uint8)
     if k > len(_DIGITS):
         raise ValueError(f"cannot spell words over {k} letters with {len(_DIGITS)} digits")
-    rest = np.asarray(codes, dtype=np.int64)
-    letters = np.empty((rest.size, length), dtype=np.uint8)
-    for pos in range(length - 1, -1, -1):
-        rest, letters[:, pos] = np.divmod(rest, k)
-    return _DIGIT_POINTS[letters].view(f"U{length}").ravel().tolist()
+    letters = _place_values(rest, length, k)
+    # the _DIGITS: '0'-'9', then 'a'-'z' from letter 10
+    letters += np.uint8(ord("0"))
+    letters += np.uint8(ord("a") - ord("9") - 1) * (letters > np.uint8(ord("9")))
+    return letters
 
 
 def _word_from_str(text: str) -> Word:
@@ -512,10 +512,19 @@ def cell_pairs(lg: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
 # CSV rows
 # ---------------------------------------------------------------------------
 
-# rows formatted at once by the CSV writers: a block's temporary strings stay
-# near 0.3 MiB, so large tables do not raise a run's peak RSS, and level-11
-# tables format as fast as with blocks of 2**16 rows
-_CSV_BLOCK_ROWS = 1 << 10
+# rows spelled at once by the CSV writers: at 2**10 rows numpy's per-call
+# overhead dominates, at 2**16 the block's character tables fall out of the
+# cache; a block's tables stay near 1 MiB, so large tables do not raise a
+# run's peak RSS
+_CSV_BLOCK_ROWS = 1 << 13
+
+# Dekker's splitter for doubles, 2**27 + 1
+_SPLIT = 134217729.0
+
+# doubles with magnitude in [1e-280, 1e280] are spelled by the array kernel;
+# past these bounds the splits of the double-double products could overflow
+# or lose bits to subnormals
+_FAST_EXP = 280
 
 
 def row_blocks(rows: int) -> list[slice]:
@@ -525,15 +534,165 @@ def row_blocks(rows: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
+def csv_rows(*fields: np.ndarray) -> str:
+    """CSV lines from per-field ``[width, rows]`` ASCII tables, in which a
+    NUL byte marks a character not printed: line ``i`` joins column ``i`` of
+    every field with commas.  The tables are stacked with the separators and
+    read row-major, and ``bytes.translate`` drops the NULs."""
+    rows = fields[0].shape[1]
+    parts = []
+    for field in fields:
+        parts += [field, np.full((1, rows), ord(","), dtype=np.uint8)]
+    parts[-1] = np.full((1, rows), ord("\n"), dtype=np.uint8)
+    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _place_values(values: np.ndarray, width: int, base: int) -> np.ndarray:
+    """``[width, rows]`` base-``base`` digits, most significant first, of
+    nonnegative integers below ``base**width``: one array division per
+    digit."""
+    rest = np.asarray(values, dtype=np.int64)
+    digits = np.empty((width, rest.size), dtype=np.uint8)
+    for pos in range(width - 1, -1, -1):
+        quotient = rest // base
+        digits[pos] = rest - quotient * base
+        rest = quotient
+    return digits
+
+
+def _decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
+    """``[width, rows]`` ASCII decimal digits, most significant first, of
+    nonnegative integers below ``10**width``."""
+    return _place_values(values, width, 10) + np.uint8(ord("0"))
+
+
+def int_chars(values: np.ndarray) -> np.ndarray:
+    """Table of nonnegative integers in decimal, as ``str`` spells them,
+    leading zeros as NULs."""
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max())))
+    chars = _decimal_digits(values, width)
+    for pos in range(width - 1):
+        chars[pos] *= values >= 10 ** (width - 1 - pos)
+    return chars
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """``[4, exponents]`` table of ``10**(16 - X)`` for decimal exponents
+    ``X`` from ``-_FAST_EXP - 2`` to ``_FAST_EXP + 1`` (the kernel's range
+    and the neighbours a ``log10`` estimate can miss into): the nearest
+    double ``hi``, the nearest double ``lo`` to ``10**(16 - X) - hi``, and
+    Dekker's halves of ``hi``.  Built on first use, from exact integer
+    ratios (``int / int`` rounds correctly)."""
+    pairs = []
+    for x in range(-_FAST_EXP - 2, _FAST_EXP + 2):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den
+        hnum, hden = hi.as_integer_ratio()
+        pairs.append((hi, (num * hden - hnum * den) / (den * hden)))
+    hi, lo = np.array(pairs).T
+    table = np.stack([hi, lo, *_split(hi)])
+    table.flags.writeable = False
+    return table
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two halves of at most 26 bits each."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _times_pow10(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - x)`` as ``p + t``: ``p`` the rounded product with the
+    double nearest ``10**(16 - x)``, ``t`` the rest to about 1e-14 (Dekker's
+    exact two-product plus the power's low part)."""
+    hi, lo, hh, hl = _powers_of_ten().take(x + _FAST_EXP + 2, axis=1)
+    p = a * hi
+    ah, al = _split(a)
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    return p, err + a * lo
+
+
+def float_chars(values: np.ndarray) -> np.ndarray:
+    """Table of doubles spelled exactly as ``format(v, ".17g")``, NULs
+    marking characters not printed.
+
+    The 17 significant digits ``n`` and decimal exponent ``x`` of ``|v|``
+    come from ``n = round(|v| * 10**(16 - x))`` in double-double arithmetic.
+    Rows whose product lies within 1e-7 of a rounding tie, and magnitudes
+    outside ``[1e-280, 1e280]``, take their digits from ``format(v,
+    ".16e")`` instead.  The layout is ``%g``'s: fixed notation for ``-4 <=
+    x < 17``, else ``e±XX``; trailing zeros stripped; the sign from
+    ``signbit``; ``inf`` and ``nan`` spelled out."""
+    v = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(v)
+    a = np.abs(v)
+    fast = (a >= 10.0 ** -_FAST_EXP) & (a <= 10.0 ** _FAST_EXP)
+    a = np.where(fast, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _times_pow10(a, x)
+    # log10 can miss the exponent by one next to a power of ten: move those
+    # rows until 1e16 <= |v| * 10**(16 - x) < 1e17
+    low = (p < 1e16) | ((p == 1e16) & (t < 0))
+    high = (p > 1e17) | ((p == 1e17) & (t >= 0))
+    moved = np.flatnonzero(low | high)
+    x[moved] += high[moved].astype(np.int64) - low[moved]
+    p[moved], t[moved] = _times_pow10(a[moved], x[moved])
+    n = p.astype(np.int64) + np.floor(t + 0.5).astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry], x[carry] = 10 ** 16, x[carry] + 1
+    near_tie = np.abs(t - np.floor(t) - 0.5) < 1e-7
+    for i in np.flatnonzero(np.where(fast, near_tie, finite & (v != 0))).tolist():
+        text = format(abs(float(v[i])), ".16e")
+        n[i], x[i] = int(text[0] + text[2:18]), int(text[19:])
+    special = ~fast & ((v == 0) | ~finite)
+    n[special], x[special] = 0, 0
+
+    # digit j of n in row j + 1, between two rows of zeros
+    digits = np.zeros((19, v.size), dtype=np.uint8)
+    digits[1:18] = _decimal_digits(n, 17)
+    kept = ((digits[1:18] != ord("0")) * np.arange(1, 18, dtype=np.int8)[:, None]).max(axis=0)
+    fixed = (x >= -4) & (x < 17)
+    lead = fixed & (x < 0)
+    shown = np.where(fixed, np.maximum(kept, x + 1), kept).astype(np.int8)
+    # the point follows digit `point`; "0.000" carries it for fixed x < 0
+    point = np.where(lead, 17, np.where(fixed, x, 0)).astype(np.int8)
+    place = np.arange(18, dtype=np.int8)[:, None]
+    e = np.abs(x)
+    sci = ~fixed
+
+    # rows: sign, "0.000" for fixed x < 0, 17 digits with the point among
+    # them, and "e±XXX"; characters not printed are multiplied by zero
+    chars = np.empty((29, v.size), dtype=np.uint8)
+    chars[0] = np.uint8(ord("-")) * (np.signbit(v) & ~np.isnan(v))
+    chars[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None] * np.vstack(
+        [lead, lead, *(lead & (x <= -2 - np.arange(3)[:, None]))])
+    after = place > point
+    body = chars[6:24]
+    body[:] = digits[1:] * ~after + digits[:-1] * after
+    dot = np.flatnonzero(point < 17)
+    body[point[dot] + 1, dot] = ord(".")
+    body *= place < shown + (place > point + 1)
+    nonfinite = np.flatnonzero(~finite)
+    body[:, nonfinite] = 0
+    body[:3, nonfinite] = np.where(np.isnan(v[nonfinite]),
+                                   np.frombuffer(b"nan", dtype=np.uint8)[:, None],
+                                   np.frombuffer(b"inf", dtype=np.uint8)[:, None])
+    chars[24] = np.uint8(ord("e")) * sci
+    chars[25] = np.where(x < 0, np.uint8(ord("-")), np.uint8(ord("+"))) * sci
+    chars[26:29] = _decimal_digits(e, 3) * np.vstack([sci & (e >= 100), sci, sci])
+    return chars
+
+
 def vertex_rows(lg: LevelGraph, values: np.ndarray) -> Iterator[str]:
     """CSV rows ``id,word,label,v_1,...`` of every vertex of ``lg`` in id
     order, one string per block of rows; ``values`` is ``[nv]`` or
-    ``[nv, c]`` and is written with 17 significant digits."""
+    ``[nv, c]`` and is written as ``%.17g``."""
     codes, labels = lg.addresses
     values = np.asarray(values).reshape(lg.num_vertices, -1)
     for b in row_blocks(lg.num_vertices):
-        words = word_column(codes[b], lg.level, lg.spec.letters)
-        cols = [[f"{x:.17g}" for x in col] for col in values[b].T.tolist()]
-        yield "".join([f"{vid},{word},{label},{xs}\n" for vid, word, label, xs in
-                       zip(range(b.start, b.stop), words, labels[b].tolist(),
-                           map(",".join, zip(*cols)))])
+        yield csv_rows(int_chars(np.arange(b.start, b.stop)),
+                       word_column(codes[b], lg.level, lg.spec.letters),
+                       int_chars(labels[b]), *map(float_chars, values[b].T))

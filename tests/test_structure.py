@@ -1,6 +1,7 @@
 """Combinatorics of the builtin generators, level builds, and addressing."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,17 +16,23 @@ from fractaldist.errors import (
     ResourceLimitError,
     SpecValidationError,
 )
+from fractaldist.harmonic import HarmonicStructure
+from fractaldist.measures import SlackTable, cell_measure_table, default_tuple
 from fractaldist.structure import (
     FractalSpec,
     VertexRef,
     _word_to_str,
     build_level,
     canonicalize,
+    csv_rows,
     decode_word,
     encode_word,
+    float_chars,
     generate_spec,
     level_address_count,
     lift,
+    row_blocks,
+    vertex_rows,
     word_column,
 )
 
@@ -370,7 +377,8 @@ def test_word_column_spells_every_code(k):
         # still puts every letter in every position
         codes = range(0, k ** length, 37 if k ** length > 10 ** 6 else 1)
         expected = [_word_to_str(decode_word(c, length, k)) for c in codes]
-        assert word_column(np.array(codes), length, k) == expected
+        table = word_column(np.array(codes), length, k)
+        assert [col.tobytes().decode("ascii") for col in table.T] == expected
 
 
 def test_word_column_rejects_letters_past_z():
@@ -430,3 +438,143 @@ def test_triple_point_orbit_collapses(sg3_spec):
     # one vertex carries three pairwise rules (the three-cell contact point)
     assert sorted(counts.values()) == [1, 1, 1, 1, 1, 1, 3]
 
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: the float speller and the writers against per-row references
+# ---------------------------------------------------------------------------
+
+# doubles next to the speller's decisions: signed zeros, the smallest
+# subnormal and normal, both ends of fixed notation, a value whose 17 digits
+# round up to a power of ten, powers of ten that are and are not exact, 2**63
+# just past the int64 range, and the non-finite values; each with its
+# neighbours and its negative
+_EDGE = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 9.9999999999999995e-5,
+                  1e16, 1e17, 1e22, 1e23, 2.0 ** 63, np.inf, np.nan])
+_EDGE = np.concatenate([_EDGE, np.nextafter(_EDGE, 0), np.nextafter(_EDGE, np.inf)])
+EDGE_FLOATS = np.concatenate([_EDGE, -_EDGE])
+
+
+def spelled(values):
+    """Lines of the CSV kernel for one column of doubles."""
+    return csv_rows(float_chars(np.asarray(values, dtype=np.float64))).split("\n")[:-1]
+
+
+def formatted(values):
+    return [format(v, ".17g") for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def test_float_chars_edge_values():
+    assert spelled(EDGE_FLOATS) == formatted(EDGE_FLOATS)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(deadline=None)
+def test_float_chars_match_format(values):
+    assert spelled(values) == formatted(values)
+
+
+@given(st.binary(min_size=8, max_size=320))
+@settings(deadline=None)
+def test_float_chars_match_format_on_bit_patterns(raw):
+    values = np.frombuffer(raw[:len(raw) // 8 * 8], dtype=np.float64)
+    assert spelled(values) == formatted(values)
+
+
+def test_float_chars_match_format_in_bulk():
+    rng = np.random.default_rng(20)
+    bits = np.frombuffer(rng.bytes(8 * 40_000), dtype=np.float64)
+    scaled = rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000)
+    powers = np.array([float(f"1e{x}") for x in range(-323, 309)])
+    for values in (bits, scaled, np.concatenate([powers, np.nextafter(powers, 0),
+                                                 np.nextafter(powers, np.inf)])):
+        assert spelled(values) == formatted(values)
+
+
+def test_float_chars_exact_ties():
+    # ip + odd / 2**j with 18 significant digits, the last a 5: rounding to
+    # 17 digits is an exact tie, which format breaks to even
+    rng = np.random.default_rng(21)
+    values = []
+    for j in range(3, 18):
+        ips = rng.integers(10 ** (17 - j), 10 ** (18 - j), 200).tolist()
+        odds = (2 * rng.integers(0, 2 ** (j - 1), 200) + 1).tolist()
+        values += [ip + odd / 2 ** j for ip, odd in zip(ips, odds)]
+    for v in values:
+        digits = str(Decimal(v)).replace(".", "")
+        assert len(digits) == 18 and digits.endswith("5"), v
+    assert spelled(values) == formatted(values)
+
+
+def reference_vertex_rows(lg, values):
+    """``vertex_rows`` text as written one f-string per row."""
+    codes, labels = lg.addresses
+    values = np.asarray(values).reshape(lg.num_vertices, -1)
+    words = [_word_to_str(decode_word(code, lg.level, lg.spec.letters)) for code in codes.tolist()]
+    return "".join([f"{vid},{word},{label},{','.join(f'{x:.17g}' for x in xs)}\n"
+                    for vid, (word, label, xs) in
+                    enumerate(zip(words, labels.tolist(), values.tolist()))])
+
+
+def reference_depth_table_csv(column, per_depth, k):
+    """``SlackTable.to_csv`` / ``CellMeasureTable.to_csv`` text as written
+    one f-string per row."""
+    lines = [f"word,depth,{column}\n"]
+    for m, vals in enumerate(per_depth):
+        lines += [f"{_word_to_str(decode_word(code, m, k))},{m},{val:.17g}\n"
+                  for code, val in enumerate(vals.tolist())]
+    return "".join(lines)
+
+
+def values_with_edges(rng, size):
+    """Doubles of every magnitude, with the edge values scattered among them."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    values[rng.choice(size, EDGE_FLOATS.size, replace=False)] = EDGE_FLOATS
+    return values
+
+
+@pytest.fixture(scope="module")
+def sg5_level4():
+    # 15 letters, so words use 'a'-'e'; 65,091 vertices in several blocks
+    return build_level(generate_spec("gasket", 5), 4)
+
+
+def test_vertex_rows_match_per_row_reference(sg5_level4):
+    lg = sg5_level4
+    blocks = row_blocks(lg.num_vertices)
+    assert len(blocks) > 2
+    assert any(b.start <= 9999 and b.stop > 10000 for b in blocks)
+    rng = np.random.default_rng(22)
+    for values in (values_with_edges(rng, lg.num_vertices),
+                   values_with_edges(rng, 2 * lg.num_vertices).reshape(-1, 2)):
+        text = list(vertex_rows(lg, values))
+        assert len(text) == len(blocks)
+        assert "".join(text) == reference_vertex_rows(lg, values)
+
+
+def test_depth_tables_match_per_row_reference():
+    hs = HarmonicStructure.build(generate_spec("gasket", 5))
+    table = cell_measure_table(hs, default_tuple(hs), 4)
+    assert len(row_blocks(table.values[-1].size)) > 2
+    assert table.to_csv() == reference_depth_table_csv("value", table.values, 15)
+    rng = np.random.default_rng(23)
+    slack = [values_with_edges(rng, 15 ** m) if m > 2 else rng.standard_normal(15 ** m)
+             for m in range(5)]
+    assert SlackTable(15, slack, 1.0, 1e-9).to_csv() == reference_depth_table_csv("slack", slack, 15)
+
+
+def test_writers_call_format_only_for_exact_fallback_rows(sg5_level4, monkeypatch):
+    # digits come from CPython only for near-tie and extreme-exponent rows
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(structure, "format", counting_format, raising=False)
+    rng = np.random.default_rng(24)
+    "".join(vertex_rows(sg5_level4, rng.standard_normal((sg5_level4.num_vertices, 2))))
+    assert calls == []
+    values = [1.5, 1e-300, 1e300, 1000000000000000.25]
+    assert spelled(values) == formatted(values)
+    assert calls == values[1:]
