@@ -338,8 +338,6 @@ def check_structure_conditions(hs: HarmonicStructure) -> ConditionReport:
                 sign_ok = False
                 witness = f"(D v)({qq}) = {dv[qq]:.3e} for cell {letter}"
             sign_worst = max(sign_worst, float(dv[qq]))
-    rep.add("fixed_points_cover_boundary", len(set(spec.fixed_letters)) == spec.boundary,
-            0.0, f"{len(set(spec.fixed_letters))} boundary-fixing cells")
     rep.add("eigenvector_sign_condition", sign_ok, max(sign_worst, 0.0), witness)
 
     det_min = min(abs(float(np.linalg.det(hs.A[letter]))) for letter in spec.fixed_letters)

@@ -19,9 +19,10 @@ stop there; their level-``n`` cells are expanded and reduced one block of
 subtrees at a time (:func:`corner_walks`), so they never hold a whole level.
 Profiles and certificates, which need every vertex, keep each level's
 elimination table on the way up and run the elimination backwards on the way
-down (:func:`geodesic_profile`).  The level-``n`` graph itself
-(:func:`weighted_level_graph`) serves the ``graph`` export and the path of
-:func:`discrete_geodesic`.
+down (:func:`geodesic_profile`); the path of :func:`discrete_geodesic` is
+walked back over the level's cell edges that its profile holds tight.  The
+level-``n`` graph itself (:func:`weighted_level_graph`) is built on demand,
+for the ``graph`` export and the tests' Dijkstra oracles only.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -73,9 +74,8 @@ PATH_RTOL = 1e-12
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request:
-    each cell's tuple boundary values, the vertex graph, the tuple's cell
-    measures and the weighted walk graph (see :func:`weighted_level_graph`;
-    no distance route reads it)."""
+    each cell's tuple boundary values, the vertex graph and the tuple's cell
+    measures."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
@@ -95,11 +95,6 @@ class LevelData:
     def mu(self) -> np.ndarray:
         """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
         return cell_form(self.hs.D, renorm_products(self.hs.r, self.level), self.cell_values)
-
-    @functools.cached_property
-    def graph(self) -> sp.csr_matrix:
-        """Corner-length walk graph of the level, as :func:`weighted_level_graph`."""
-        return _walk_graph(self.lg, _corner_lengths(self.cell_values))
 
 
 class MetricContext:
@@ -141,8 +136,8 @@ class MetricContext:
         return data
 
     def evict(self, n: int | None = None) -> None:
-        """Drop cached level data, graphs and corner walks of walk level ``n``
-        included (all levels when ``n`` is None)."""
+        """Drop cached level data and the corner walks of walk level ``n``
+        (all levels when ``n`` is None)."""
         if n is None:
             self._levels.clear()
             self._walks.clear()
@@ -212,14 +207,10 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
 def weighted_level_graph(ctx: MetricContext, n: int) -> sp.csr_matrix:
     """Symmetric CSR adjacency of the level-``n`` walk graph: :func:`_walk_graph`
     on the level's cells, weighted by their embedded corner lengths.  It
-    serves the ``graph`` export and the path of :func:`discrete_geodesic`;
-    distances never run on it.
-
-    Built on the first request for the level and kept on its
-    :class:`LevelData` until ``ctx.evict(n)``; like the level itself, building
-    it is not thread-safe.
+    serves the ``graph`` export; no product route runs on it.  Built on
+    each call.
     """
-    return ctx.level(n).graph
+    return _walk_graph(ctx.level(n).lg, corner_walks(ctx, n, n))
 
 
 def _dijkstra(graph: sp.csr_matrix, sources):
@@ -281,9 +272,11 @@ def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) ->
     """Shortest walk between ``x`` and ``y`` at level ``n``.
 
     The value is read from :func:`geodesic_profile`.  The path is walked back
-    from ``y`` along the edges of :func:`weighted_level_graph` that the
-    profile holds tight, ``phi[u] + w <= phi[v]`` up to ``PATH_RTOL`` of the
-    value: a breadth-first search, so it ends on zero-weight edges too.
+    from ``y`` along the cell edges of :func:`edge_arrays`, taken both ways,
+    that the profile holds tight, ``phi[a] + w <= phi[b]`` up to ``PATH_RTOL``
+    of the value: a breadth-first search, so it ends on zero-weight edges too.
+    Where cells share a vertex pair, a longer edge is tight only when the
+    shortest is, so the walk graph's minimum need not be taken.
     """
     phi = geodesic_profile(ctx, x, n)
     src = ctx.vertex_id(x, n)
@@ -291,11 +284,14 @@ def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) ->
     value = float(phi[dst])
     if not math.isfinite(value):
         raise FractalDistError(f"level-{n} graph is disconnected between {x} and {y}")
-    graph = weighted_level_graph(ctx, n)
-    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
-    tight = phi[graph.indices] + graph.data <= phi[rows] + PATH_RTOL * value
-    back = sp.csr_matrix((np.ones(np.count_nonzero(tight)),
-                          (rows[tight], graph.indices[tight])), shape=graph.shape)
+    u, v, w = edge_arrays(ctx, n)
+    slack = PATH_RTOL * value
+    # each cell edge both ways: a tight a -> b is walked back from b to a
+    fwd = phi[u] + w <= phi[v] + slack
+    rev = phi[v] + w <= phi[u] + slack
+    rows = np.concatenate([v[fwd], u[rev]])
+    cols = np.concatenate([u[fwd], v[rev]])
+    back = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(phi),) * 2)
     _, pred = breadth_first_order(back, dst, return_predecessors=True)
     if src != dst and pred[src] < 0:
         raise FractalDistError(f"no tight level-{n} walk from {x} to {y}")

@@ -230,17 +230,6 @@ def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
         geodesic_converge(ctx, VertexRef((0,) * 5, 0), CORNER[1], 8)
 
 
-def test_level_graph_cached_until_evicted(sg2_hs):
-    ctx = MetricContext(sg2_hs)
-    graph = weighted_level_graph(ctx, 3)
-    assert weighted_level_graph(ctx, 3) is graph
-    assert ctx.level(3).graph is graph
-    ctx.evict(3)
-    rebuilt = weighted_level_graph(ctx, 3)
-    assert rebuilt is not graph
-    assert (rebuilt != graph).nnz == 0
-
-
 def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     ctx = MetricContext(sg2_hs)
     calls = []
@@ -341,6 +330,28 @@ def test_certificate_builds_no_level_graph(sg2_hs, monkeypatch):
     # one skeleton per call, each on the source's own level
     assert walked == [0, 0, 2, 2, 3, 3]
     assert "graph" not in vars(ctx.level(n))
+
+
+def test_discrete_geodesic_builds_no_level_graph(sg2_hs, monkeypatch):
+    ctx = MetricContext(sg2_hs)
+    walked = []
+    walk_graph = metrics._walk_graph
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the level walk graph was assembled")
+
+    def skeleton(lg, W):
+        walked.append(lg.level)
+        return walk_graph(lg, W)
+
+    monkeypatch.setattr(metrics, "weighted_level_graph", not_reached)
+    monkeypatch.setattr(metrics, "_walk_graph", skeleton)
+    for x in [CORNER[0], VertexRef((1, 0), 2)]:
+        res = discrete_geodesic(ctx, x, CORNER[1], 5)
+        assert res.path[0] == ctx.vertex_id(x, 5)
+    # the path is walked back over cell edges; only the sources' own
+    # skeletons are walk graphs
+    assert walked == [0, 2]
 
 
 @pytest.mark.parametrize("hs_fixture, n", PROFILE_CASES)
