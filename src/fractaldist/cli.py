@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics
 from .errors import FractalDistError, SpecValidationError
 from .harmonic import HarmonicStructure, check_structure_conditions
-from .measures import HarmonicTuple, cell_measure_table, default_tuple
+from .measures import FEASIBILITY_RTOL, HarmonicTuple, cell_measure_table, default_tuple
 from .structure import (
     FractalSpec,
     VertexRef,
@@ -293,9 +293,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tuple", default="default",
                         help="harmonic tuple: 'default' or 'a,b,c;d,e,f'")
-    parser.add_argument("--feasibility-tol", type=float, default=1e-9,
+    parser.add_argument("--feasibility-tol", type=float, default=FEASIBILITY_RTOL,
                         help="relative slack tolerance for certificates")
-    parser.add_argument("--convergence-rtol", type=float, default=1e-9,
+    parser.add_argument("--convergence-rtol", type=float, default=metrics.CONVERGENCE_RTOL,
                         help="relative-gap stop for the geodesic subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,7 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="single-source distance profile")
     p.add_argument("--from", required=True)
     p.add_argument("--level", type=int, required=True)
-    p = sub.add_parser("certify", help="capped-profile lower-bound certificate")
+    p = sub.add_parser("certify", help="capped profile checked feasible for the level-n program")
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--level", type=int, required=True)
@@ -319,7 +319,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=metrics.ASCENT_BUDGET)
     p = sub.add_parser("embed", help="export embedding coordinates")
     p.add_argument("--level", type=int, required=True)
     p = sub.add_parser("measures", help="tabulate cell measures of the tuple")

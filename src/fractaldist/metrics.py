@@ -26,8 +26,9 @@ for the ``graph`` export and the tests' Dijkstra oracles only.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
-measure, so its increment between two vertices is a certified
-intrinsic-distance lower bound at the checked depth.
+measure down to depth ``n``, so its increment between two vertices is at
+most the optimum of the level-``n`` intrinsic program, which bounds the
+intrinsic distance from above, not below.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .errors import FractalDistError, ResourceLimitError
 from .harmonic import HarmonicStructure, renorm_products
 from .measures import (
+    FEASIBILITY_RTOL,
     HarmonicTuple,
     SlackTable,
     cell_boundary_values,
@@ -66,6 +68,8 @@ from .structure import (
 )
 
 MONOTONE_TOL = 1e-12
+CONVERGENCE_RTOL = 1e-9  # geodesic_converge stops below this relative step
+ASCENT_BUDGET = 200  # directions intrinsic_estimate may compute
 # edges within this fraction of the walk's value of tight are walked back
 # by discrete_geodesic: profiles are sums in another order than the path's
 PATH_RTOL = 1e-12
@@ -116,14 +120,9 @@ class MetricContext:
         return self.h.n_components
 
     @functools.cached_property
-    def pattern(self) -> LevelGraph:
-        """Level-1 glue pattern: the copy of it that every parent cell holds."""
-        return build_level(self.spec, 1)
-
-    @functools.cached_property
     def schedule(self) -> ReductionSchedule:
         """Min-plus elimination schedule of the spec's level-1 pattern."""
-        return reduction_schedule(self.pattern)
+        return reduction_schedule(build_level(self.spec, 1))
 
     def level(self, n: int) -> LevelData:
         """Cache entry of level ``n``; its address count is checked before
@@ -243,26 +242,26 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     data = ctx.level(n)
     lift(ctx.spec, x, n)  # x must name a vertex of level n
     m = x.level
+    schedule, k = ctx.schedule, ctx.spec.letters
     W = _corner_lengths(data.cell_values)
     tables = []
     for _ in range(n - m):
-        tables.append(_reduce_cells(W, ctx.schedule, table=True))
-        W = tables[-1][list(ctx.schedule.corners)]
+        tables.append(_reduce_cells(W, schedule))
+        W = tables[-1][schedule.corners]
     src_lg = ctx.level(m).lg
     d = _dijkstra(_walk_graph(src_lg, W), src_lg.vertex_id(x))
     if not tables:
         return d
-    pattern, k = ctx.pattern, ctx.spec.letters
     corners = d[src_lg.cells.T]
     while True:
-        nodes = _fill_patterns(corners, tables.pop(), ctx.schedule, pattern)
+        nodes = _fill_patterns(corners, tables.pop(), schedule)
         if not tables:
             break
         # corner a of child j of parent P is node cells[j, a] of P's pattern
-        corners = nodes[pattern.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
+        corners = nodes[schedule.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
     phi = np.empty(data.lg.num_vertices)
     # each node is written once, through its first (child, corner) address
-    ids, first = np.unique(pattern.cells, return_index=True)
+    ids, first = np.unique(schedule.cells, return_index=True)
     for v, j, a in zip(ids, *np.divmod(first, len(corners))):
         phi[data.lg.cells[j::k, a]] = nodes[v]
     return phi
@@ -320,7 +319,7 @@ class ConvergenceHistory:
 
 
 def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
-                      n_max: int, rtol: float = 1e-9) -> ConvergenceHistory:
+                      n_max: int, rtol: float = CONVERGENCE_RTOL) -> ConvergenceHistory:
     """Track the shortest-walk value from ``m = max(level(x), level(y))`` up to
     ``n_max`` or until the relative step falls below ``rtol``.
 
@@ -393,8 +392,9 @@ def default_cap(ctx: MetricContext) -> float:
 class Certificate:
     """Capped distance profile with its domination slack table.
 
-    When the slack table is feasible, ``certified_value`` is a valid
-    intrinsic-distance lower bound at the checked depth range.
+    When the slack table is feasible (depths ``0..n``), ``certified_value``
+    is at most the optimum of the level-``n`` intrinsic program, which bounds
+    the intrinsic distance from above, not below.
     """
 
     level: int
@@ -410,7 +410,7 @@ class Certificate:
 
 def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
                           cap: float | None = None, *,
-                          tolerance: float = 1e-9) -> Certificate:
+                          tolerance: float = FEASIBILITY_RTOL) -> Certificate:
     """Build the capped profile ``min(distance-from-x, cap)`` on level ``n``
     and check cell domination at every depth up to ``n``.
 
@@ -446,7 +446,7 @@ class EstimateResult:
 
 
 def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
-                       budget: int = 200) -> EstimateResult:
+                       budget: int = ASCENT_BUDGET) -> EstimateResult:
     """Maximize ``f(y) - f(x)`` over vertex values subject to the per-cell
     domination constraints at level ``n``.
 
@@ -534,22 +534,25 @@ _STREAM_BLOCK_CELLS = 1 << 16
 class ReductionSchedule:
     """Min-plus elimination of the level-1 glue pattern, fixed per spec.
 
-    A *slot* holds the weight of one unordered pair of pattern nodes.
-    ``seeds`` lists ``(slot, pair, child)``: the slot takes the smallest
-    child weight laid on it.  ``updates`` lists ``(dst, a, b)`` row
-    operations ``G[dst] = min(G[dst], G[a] + G[b])``, and ``corners`` holds
-    the slot of each parent corner pair in ``np.triu_indices(q, 1)`` order.
-    ``eliminated`` lists the interior nodes in elimination order, each with
-    ``(neighbour, slot)`` for the neighbours it had when it was eliminated:
-    what :func:`_fill_patterns` reads to run the elimination backwards.
+    ``cells`` is the pattern's ``[k, q]`` vertex table and ``boundary_ids``
+    its corner nodes.  A *slot* holds the weight of one unordered pair of
+    pattern nodes.  ``seeds`` lists ``(slot, pair, child)``: the slot takes
+    the smallest child weight laid on it.  ``updates`` lists ``(dst, a, b)``
+    row operations ``G[dst] = min(G[dst], G[a] + G[b])``, and ``corners``
+    holds the slot of each parent corner pair in ``np.triu_indices(q, 1)``
+    order.  ``eliminated`` lists the interior nodes in elimination order,
+    each as ``(node, neighbours, slots)``: the neighbours it had when it was
+    eliminated and the slots of its pairs with them, as index arrays, which
+    :func:`_fill_patterns` reads to run the elimination backwards.
     """
 
-    letters: int
+    cells: np.ndarray
+    boundary_ids: np.ndarray
     slots: int
     seeds: tuple[tuple[int, int, int], ...]
     updates: tuple[tuple[int, int, int], ...]
-    corners: tuple[int, ...]
-    eliminated: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    corners: np.ndarray
+    eliminated: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
@@ -599,49 +602,44 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
         interior.remove(x)
         alive.remove(x)
         around = pivot(x, alive)
-        eliminated.append((x, tuple((u, slot_of(x, u)) for u in around)))
+        eliminated.append((x, np.array(around), np.array([slot_of(x, u) for u in around])))
     for c in corners:
         pivot(c, alive - {c})
-    closed = tuple(slot_of(corners[i], corners[j]) for i, j in zip(a, b))
-    return ReductionSchedule(pattern.spec.letters, len(slot), tuple(seeds),
+    closed = np.array([slot_of(corners[i], corners[j]) for i, j in zip(a, b)])
+    return ReductionSchedule(pattern.cells, np.array(corners), len(slot), tuple(seeds),
                              tuple(updates), closed, tuple(eliminated))
 
 
-def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule, *,
-                  table: bool = False) -> np.ndarray:
+def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     """One step up the cell tree in the (min, +) semiring.
 
     ``W[p, c]`` is the shortest walk inside child cell ``c`` between the
     corners of pair ``p`` (pairs ``a < b`` in ``np.triu_indices(q, 1)``
     order, cells in big-endian code order, so the ``k`` children of a parent
     are contiguous).  Each parent is a copy of the level-1 pattern with every
-    child's weights on its corners; the ``schedule`` runs on a ``[slots,
-    parents]`` array, one row operation over all parents of a block at a
-    time.  Returns the same ``[pairs, P]`` table for the parents, or with
-    ``table`` the whole ``[slots, P]`` array, whose ``schedule.corners``
-    rows are that table.
+    child's weights on its corners; the ``schedule`` runs on the parents'
+    ``[slots, P]`` elimination table, one row operation over all parents of
+    a block at a time.  Returns that table; its ``schedule.corners`` rows
+    are the parents' ``[pairs, P]`` corner walks, laid out as ``W``.
     """
     pairs = W.shape[0]
-    children = W.reshape(pairs, -1, schedule.letters)
+    children = W.reshape(pairs, -1, len(schedule.cells))
     P = children.shape[1]
-    rows = slice(None) if table else list(schedule.corners)
-    out = np.empty((schedule.slots if table else pairs, P))
+    G = np.full((schedule.slots, P), np.inf)
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
-        part = children[:, s:s + block]
-        G = np.full((schedule.slots, part.shape[1]), np.inf)
+        part, g = children[:, s:s + block], G[:, s:s + block]
         for dst, p, i in schedule.seeds:
-            np.minimum(G[dst], part[p, :, i], out=G[dst])
-        via = np.empty(part.shape[1])
+            np.minimum(g[dst], part[p, :, i], out=g[dst])
+        via = np.empty(g.shape[1])
         for dst, u, v in schedule.updates:
-            np.add(G[u], G[v], out=via)
-            np.minimum(G[dst], via, out=G[dst])
-        out[:, s:s + block] = G[rows]
-    return out
+            np.add(g[u], g[v], out=via)
+            np.minimum(g[dst], via, out=g[dst])
+    return G
 
 
-def _fill_patterns(corner_d: np.ndarray, G: np.ndarray, schedule: ReductionSchedule,
-                   pattern: LevelGraph) -> np.ndarray:
+def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
+                   schedule: ReductionSchedule) -> np.ndarray:
     """One step down the cell tree in the (min, +) semiring: the back
     substitution of the elimination that :func:`_reduce_cells` ran forwards.
 
@@ -652,22 +650,19 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray, schedule: ReductionSched
     elimination order, ``d(x) = min_u d(u) + G[slot(x, u)]`` over the
     neighbours ``u`` that ``x`` had when it was eliminated: they are filled
     before ``x``, and ``G`` holds the shortest walks to them through the
-    nodes eliminated before ``x``.  Returns ``[nodes, P]`` distances at every
-    pattern node of each parent.
+    nodes eliminated before ``x``; each node is one gather and one minimum,
+    whose bits do not depend on the neighbours' order.  Returns ``[nodes,
+    P]`` distances at every pattern node of each parent.
     """
     P = G.shape[1]
-    nodes = np.empty((pattern.num_vertices, P))
-    nodes[pattern.boundary_ids] = corner_d
+    # every pattern node is a corner or was eliminated
+    nodes = np.empty((len(schedule.boundary_ids) + len(schedule.eliminated), P))
+    nodes[schedule.boundary_ids] = corner_d
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part, g = nodes[:, s:s + block], G[:, s:s + block]
-        via = np.empty(part.shape[1])
-        for x, around in reversed(schedule.eliminated):
-            d = part[x]
-            d.fill(np.inf)
-            for u, slot in around:
-                np.add(part[u], g[slot], out=via)
-                np.minimum(d, via, out=d)
+        for x, around, slots in reversed(schedule.eliminated):
+            np.min(part[around] + g[slots], axis=0, out=part[x])
     return nodes
 
 
@@ -716,10 +711,10 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     for start in range(0, len(prefixes), block):
         part = _corner_lengths(child_values(ctx.hs, prefixes[start:start + block], n - p))
         for _ in range(n - p):
-            part = _reduce_cells(part, ctx.schedule)
+            part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
         W[:, start:start + block] = part
     for _ in range(p - m):
-        W = _reduce_cells(W, ctx.schedule)
+        W = _reduce_cells(W, ctx.schedule)[ctx.schedule.corners]
     return W
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import string
 from collections import deque
@@ -223,6 +224,12 @@ def _normalize_glue(rules: Iterable[Sequence[int]]) -> tuple[tuple[int, int, int
 # builtin generators
 # ---------------------------------------------------------------------------
 
+def _glue_rules(groups: Iterable[list[tuple[int, int]]]) -> list[tuple[int, int, int, int]]:
+    """Glue rules ``(i, a, j, b)`` joining every two ``(cell, corner)``
+    addresses of each group of addresses that land on one point."""
+    return [(*s, *t) for addrs in groups for s, t in itertools.combinations(addrs, 2)]
+
+
 def _gasket_spec(side: int) -> FractalSpec:
     """Level-``side`` triangular gasket from exact barycentric coordinates.
 
@@ -249,12 +256,7 @@ def _gasket_spec(side: int) -> FractalSpec:
     for i, cell in enumerate(cells):
         for a, pt in enumerate(cell):
             by_point.setdefault(pt, []).append((i, a))
-    rules = []
-    for pt in sorted(by_point):
-        addrs = by_point[pt]
-        for s in range(len(addrs)):
-            for t in range(s + 1, len(addrs)):
-                rules.append((*addrs[s], *addrs[t]))
+    rules = _glue_rules(by_point[pt] for pt in sorted(by_point))
     return FractalSpec(f"gasket:{side}", len(cells), 3, tuple(fixed), _normalize_glue(rules))
 
 
@@ -290,11 +292,7 @@ def _polygasket_spec(n: int) -> FractalSpec:
                     break
             else:
                 points.append((z, [(i, a)]))
-    rules = []
-    for _, addrs in points:
-        for s in range(len(addrs)):
-            for t in range(s + 1, len(addrs)):
-                rules.append((*addrs[s], *addrs[t]))
+    rules = _glue_rules(addrs for _, addrs in points)
     if len(rules) != n:
         raise InvalidParameterError(
             f"polygasket:{n} contact detection produced {len(rules)} rules, expected {n}")

@@ -485,7 +485,8 @@ def test_reduce_cells_matches_floyd_warshall(name, data):
     W = data.draw(arrays(np.float64, (q * (q - 1) // 2, k * parents),
                          elements=st.floats(0.0, 1e3, allow_subnormal=False)))
     ref = floyd_warshall_reduce(W, pattern)
-    got = metrics._reduce_cells(W, metrics.reduction_schedule(pattern))
+    schedule = metrics.reduction_schedule(pattern)
+    got = metrics._reduce_cells(W, schedule)[schedule.corners]
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
@@ -496,7 +497,9 @@ def test_reduce_cells_blocks_identical(name, monkeypatch):
     schedule = metrics.reduction_schedule(pattern)
     W = np.random.default_rng(7).exponential(size=(q * (q - 1) // 2, k * 7))
     whole = metrics._reduce_cells(W, schedule)
-    # two parents per block: seven parents run in four blocks
+    assert whole.shape == (schedule.slots, 7)
+    # two parents per block: seven parents run in four blocks; every slot
+    # row of the table, not only the corner rows, is compared
     monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * schedule.slots)
     assert np.array_equal(metrics._reduce_cells(W, schedule), whole)
 
@@ -524,7 +527,7 @@ def test_corner_walks_stream_matches_whole_level(name, data):
     ctx = MetricContext(hs, HarmonicTuple(alphas))
     whole = [metrics._corner_lengths(cell_boundary_values(hs, ctx.h, n))]
     for _ in range(n):
-        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule))
+        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule)[ctx.schedule.corners])
     with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk):
         for m in range(n + 1):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
