@@ -460,9 +460,11 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
     """Vertex hierarchy of ``spec`` at level ``n``.
 
     Vertices are equivalence classes of addresses under the glue rules applied
-    inside every coarser cell.  Ids are deterministic: classes are ordered by
-    their smallest candidate index at each refinement step.  The graph's
-    address table is built lazily, on its first read (see :class:`LevelGraph`).
+    inside every coarser cell.  Ids are deterministic: each refinement step
+    numbers the candidates ``i * nv + v`` that no glue rule moves in
+    increasing order, and each glued candidate takes its root's number.  The
+    graph's address table is built lazily, on its first read (see
+    :class:`LevelGraph`).
     """
     level_address_count(spec, n)
     k, q = spec.letters, spec.boundary
@@ -477,22 +479,18 @@ def build_level(spec: FractalSpec, n: int) -> LevelGraph:
     for _ in range(n):
         # candidates at the next level are i * nv + v for a first letter i and
         # a vertex v; the lifted boundary points are distinct, so the corners
-        # glued at level 1 meet again, each at its root's candidate, the
-        # smallest of its class
-        ids = cells[lifted, corners].astype(np.int64)
+        # glued at level 1 meet again, each nonroot at its root's candidate
+        ids = cells[lifted, corners]
         nonroots = letter * nv + ids[corner]
-        order = np.argsort(nonroots)
-        nonroots, targets = nonroots[order], (root_letter * nv + ids[root_corner])[order]
-        prev = cells.astype(np.int64)
-        cells = np.empty((k * len(prev), q), dtype=np.int32)
-        for i in range(k):
-            # merged candidates take their class's smallest member; the rest
-            # keep rank order
-            c = i * nv + prev
-            pos = np.minimum(np.searchsorted(nonroots, c), nonroots.size - 1)
-            c = np.where(nonroots[pos] == c, targets[pos], c)
-            cells[i * len(prev):(i + 1) * len(prev)] = c - np.searchsorted(nonroots, c, side="right")
-        lifted = fixed * len(prev) + lifted
+        # rank table: kept candidates are numbered in order, and each glued
+        # one copies its root's number
+        keep = np.ones(k * nv, dtype=bool)
+        keep[nonroots] = False
+        rank = np.empty(k * nv, dtype=np.int32)
+        rank[keep] = np.arange(k * nv - len(nonroots), dtype=np.int32)
+        rank[nonroots] = rank[root_letter * nv + ids[root_corner]]
+        lifted = fixed * len(cells) + lifted
+        cells = np.take(rank.reshape(k, nv), cells, axis=1).reshape(-1, q)
         nv = k * nv - len(nonroots)
 
     return LevelGraph(spec, n, nv, cells, cells[lifted, corners].tolist())

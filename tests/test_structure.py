@@ -171,6 +171,35 @@ def test_vertex_counts_match_brute_force(kind, param, counts):
         assert build_level(spec, n).num_vertices == len(brute_force_address_classes(spec, n))
 
 
+@pytest.mark.parametrize("kind,param,n", [
+    ("gasket", 2, 10),
+    ("gasket", 3, 6),
+    ("polygasket", 6, 5),
+    ("polygasket", 9, 4),
+])
+def test_deep_levels_keep_the_builder_invariants(kind, param, n):
+    # past the brute-force oracle's reach: the invariants that addresses,
+    # embeddings and the deterministic ids rely on
+    spec = generate_spec(kind, param)
+    lg = build_level(spec, n)
+    assert lg.cells.dtype == np.int32 and lg.cells.flags.c_contiguous
+    assert lg.cells.shape == (spec.letters ** n, spec.boundary)
+    # ids first appear in cells.ravel() in increasing order
+    ids, first = np.unique(lg.cells.ravel(), return_index=True)
+    assert np.array_equal(ids, np.arange(lg.num_vertices))
+    assert np.all(np.diff(first) > 0)
+    if (kind, param) == ("gasket", 2):
+        assert lg.num_vertices == (3 ** (n + 1) + 3) // 2
+    assert lg.boundary_ids == [lg.vertex_id(VertexRef((), a)) for a in range(spec.boundary)]
+    # every corner of every level-2 cell lands where its lift does
+    coarse = build_level(spec, 2)
+    emb = coarse.embed_into(lg)
+    for code in range(coarse.num_cells):
+        word = coarse.cell_word(code)
+        for a in range(spec.boundary):
+            assert emb[coarse.cells[code, a]] == lg.vertex_id(lift(spec, VertexRef(word, a), n))
+
+
 @st.composite
 def glue_spec_fields(draw):
     """Spec-file fields with 2-5 cells and 2-4 labels: a random tree of glue
