@@ -242,7 +242,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     data = ctx.level(n)
     lift(ctx.spec, x, n)  # x must name a vertex of level n
     m = x.level
-    schedule, k = ctx.schedule, ctx.spec.letters
+    schedule = ctx.schedule
     W = _corner_lengths(data.cell_values)
     tables = []
     for _ in range(n - m):
@@ -260,10 +260,12 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
         # corner a of child j of parent P is node cells[j, a] of P's pattern
         corners = nodes[schedule.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
     phi = np.empty(data.lg.num_vertices)
-    # each node is written once, through its first (child, corner) address
-    ids, first = np.unique(schedule.cells, return_index=True)
-    for v, j, a in zip(ids, *np.divmod(first, len(corners))):
-        phi[data.lg.cells[j::k, a]] = nodes[v]
+    # each node is written once, through its first (child, corner) address;
+    # that address's ids over all parents are gathered into one row
+    first = np.unique(schedule.cells, return_index=True)[1]
+    ids = data.lg.cells.reshape(-1, schedule.cells.size)[:, first].T.copy()
+    for node_ids, row in zip(ids, nodes):
+        phi[node_ids] = row
     return phi
 
 
@@ -536,23 +538,26 @@ class ReductionSchedule:
 
     ``cells`` is the pattern's ``[k, q]`` vertex table and ``boundary_ids``
     its corner nodes.  A *slot* holds the weight of one unordered pair of
-    pattern nodes.  ``seeds`` lists ``(slot, pair, child)``: the slot takes
-    the smallest child weight laid on it.  ``updates`` lists ``(dst, a, b)``
-    row operations ``G[dst] = min(G[dst], G[a] + G[b])``, and ``corners``
-    holds the slot of each parent corner pair in ``np.triu_indices(q, 1)``
-    order.  ``eliminated`` lists the interior nodes in elimination order,
-    each as ``(node, neighbours, slots)``: the neighbours it had when it was
-    eliminated and the slots of its pairs with them, as index arrays, which
+    pattern nodes.  ``seeds`` lists ``(slot, first, pair, child)``: the slot
+    takes the smallest child weight laid on it.  ``updates`` lists ``(dst,
+    first, a, b)`` row operations ``G[dst] = min(G[dst], G[a] + G[b])``.
+    ``first`` marks each slot's one first write, a copy of the seed or the
+    sum ``G[a] + G[b]``, and no write reads a slot before it, so no table is
+    filled with the semiring's zero.  ``corners`` holds the slot of each
+    parent corner pair in ``np.triu_indices(q, 1)`` order.  ``eliminated``
+    lists the interior nodes in elimination order, each as ``(node,
+    neighbours, slots)``: the neighbours it had when it was eliminated (at
+    least one) and the slots of its pairs with them, which
     :func:`_fill_patterns` reads to run the elimination backwards.
     """
 
     cells: np.ndarray
     boundary_ids: np.ndarray
     slots: int
-    seeds: tuple[tuple[int, int, int], ...]
-    updates: tuple[tuple[int, int, int], ...]
+    seeds: tuple[tuple[int, bool, int, int], ...]
+    updates: tuple[tuple[int, bool, int, int], ...]
     corners: np.ndarray
-    eliminated: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    eliminated: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
@@ -573,12 +578,16 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
     def slot_of(u: int, v: int) -> int:
         return slot.setdefault((min(u, v), max(u, v)), len(slot))
 
+    def write(u: int, v: int) -> tuple[int, bool]:
+        fresh = len(slot)  # a slot is numbered at its first write
+        return slot_of(u, v), len(slot) > fresh
+
     adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.num_vertices)}
     seeds = []
     for i, cell in enumerate(pattern.cells.tolist()):
         for p, (ca, cb) in enumerate(zip(a, b)):
             u, v = cell[ca], cell[cb]
-            seeds.append((slot_of(u, v), p, i))
+            seeds.append((*write(u, v), p, i))
             adjacent[u].add(v)
             adjacent[v].add(u)
 
@@ -588,7 +597,7 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
         around = sorted(adjacent[x] & alive)
         for s, u in enumerate(around):
             for v in around[s + 1:]:
-                updates.append((slot_of(u, v), slot_of(u, x), slot_of(x, v)))
+                updates.append((*write(u, v), slot_of(u, x), slot_of(x, v)))
                 adjacent[u].add(v)
                 adjacent[v].add(u)
         return around
@@ -602,7 +611,7 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
         interior.remove(x)
         alive.remove(x)
         around = pivot(x, alive)
-        eliminated.append((x, np.array(around), np.array([slot_of(x, u) for u in around])))
+        eliminated.append((x, tuple(around), tuple(slot_of(x, u) for u in around)))
     for c in corners:
         pivot(c, alive - {c})
     closed = np.array([slot_of(corners[i], corners[j]) for i, j in zip(a, b)])
@@ -619,22 +628,25 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     are contiguous).  Each parent is a copy of the level-1 pattern with every
     child's weights on its corners; the ``schedule`` runs on the parents'
     ``[slots, P]`` elimination table, one row operation over all parents of
-    a block at a time.  Returns that table; its ``schedule.corners`` rows
-    are the parents' ``[pairs, P]`` corner walks, laid out as ``W``.
+    a block at a time; a slot's first write is an assignment, so the table
+    is never filled with ``inf``.  Returns that table; its
+    ``schedule.corners`` rows are the parents' ``[pairs, P]`` corner walks,
+    laid out as ``W``.
     """
     pairs = W.shape[0]
     children = W.reshape(pairs, -1, len(schedule.cells))
     P = children.shape[1]
-    G = np.full((schedule.slots, P), np.inf)
+    G = np.empty((schedule.slots, P))
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part, g = children[:, s:s + block], G[:, s:s + block]
-        for dst, p, i in schedule.seeds:
-            np.minimum(g[dst], part[p, :, i], out=g[dst])
+        for dst, first, p, i in schedule.seeds:
+            g[dst] = part[p, :, i] if first else np.minimum(g[dst], part[p, :, i])
         via = np.empty(g.shape[1])
-        for dst, u, v in schedule.updates:
-            np.add(g[u], g[v], out=via)
-            np.minimum(g[dst], via, out=g[dst])
+        for dst, first, u, v in schedule.updates:
+            np.add(g[u], g[v], out=g[dst] if first else via)
+            if not first:
+                np.minimum(g[dst], via, out=g[dst])
     return G
 
 
@@ -650,9 +662,10 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
     elimination order, ``d(x) = min_u d(u) + G[slot(x, u)]`` over the
     neighbours ``u`` that ``x`` had when it was eliminated: they are filled
     before ``x``, and ``G`` holds the shortest walks to them through the
-    nodes eliminated before ``x``; each node is one gather and one minimum,
-    whose bits do not depend on the neighbours' order.  Returns ``[nodes,
-    P]`` distances at every pattern node of each parent.
+    nodes eliminated before ``x``.  The first neighbour's sum is written to
+    ``x`` and each other one taken by a minimum, whose bits do not depend on
+    the neighbours' order.  Returns ``[nodes, P]`` distances at every
+    pattern node of each parent.
     """
     P = G.shape[1]
     # every pattern node is a corner or was eliminated
@@ -661,8 +674,11 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part, g = nodes[:, s:s + block], G[:, s:s + block]
+        via = np.empty(part.shape[1])
         for x, around, slots in reversed(schedule.eliminated):
-            np.min(part[around] + g[slots], axis=0, out=part[x])
+            np.add(part[around[0]], g[slots[0]], out=part[x])
+            for u, t in zip(around[1:], slots[1:]):
+                np.minimum(part[x], np.add(part[u], g[t], out=via), out=part[x])
     return nodes
 
 

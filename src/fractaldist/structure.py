@@ -406,11 +406,13 @@ class LevelGraph:
     def addresses(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``[nv]`` cell codes and ``[nv]`` corner labels of the
         canonical addresses, indexed by vertex id: each vertex's first
-        occurrence in ``cells``."""
+        occurrence in ``cells``.  Ids first occur in increasing order, so
+        those are where the running maximum of ``cells.ravel()`` rises."""
         flat = self.cells.ravel()
-        first = np.full(self.num_vertices, flat.size, dtype=np.int64)
-        np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
-        codes, labels = np.divmod(first, self.spec.boundary)
+        rises = np.empty(flat.size, dtype=bool)
+        rises[0] = True
+        np.greater(flat[1:], np.maximum.accumulate(flat[:-1]), out=rises[1:])
+        codes, labels = np.divmod(np.flatnonzero(rises), self.spec.boundary)
         codes.flags.writeable = labels.flags.writeable = False
         return codes, labels
 

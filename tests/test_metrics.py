@@ -504,6 +504,79 @@ def test_reduce_cells_blocks_identical(name, monkeypatch):
     assert np.array_equal(metrics._reduce_cells(W, schedule), whole)
 
 
+@pytest.mark.parametrize("name", list(PATTERNS))
+def test_schedule_writes_each_slot_first_once(name):
+    schedule = metrics.reduction_schedule(PATTERNS[name])
+    written = set()
+    for dst, first, _, _ in schedule.seeds:
+        assert first == (dst not in written)
+        written.add(dst)
+    for dst, first, a, b in schedule.updates:
+        # no update reads a slot before its first write
+        assert a in written and b in written
+        assert first == (dst not in written)
+        written.add(dst)
+    firsts = [dst for dst, first, *_ in schedule.seeds + schedule.updates if first]
+    assert sorted(firsts) == list(range(schedule.slots))
+    assert set(schedule.corners.tolist()) <= written
+    for _, around, slots in schedule.eliminated:
+        # _fill_patterns writes each node from its first neighbour
+        assert len(around) >= 1 and len(slots) == len(around)
+        assert set(slots) <= written
+
+
+def inf_reduce_cells(W, schedule):
+    """Reference for _reduce_cells: an inf-filled table, every seed and
+    update a minimum."""
+    children = W.reshape(W.shape[0], -1, len(schedule.cells))
+    G = np.full((schedule.slots, children.shape[1]), np.inf)
+    block = max(1, metrics._REDUCE_BLOCK_ENTRIES // schedule.slots)
+    for s in range(0, G.shape[1], block):
+        part, g = children[:, s:s + block], G[:, s:s + block]
+        for dst, *_, p, i in schedule.seeds:
+            np.minimum(g[dst], part[p, :, i], out=g[dst])
+        for dst, *_, u, v in schedule.updates:
+            np.minimum(g[dst], g[u] + g[v], out=g[dst])
+    return G
+
+
+def gather_fill_patterns(corner_d, G, schedule):
+    """Reference for _fill_patterns: each node the minimum over a gather of
+    its neighbours' rows plus their slots."""
+    nodes = np.empty((len(schedule.boundary_ids) + len(schedule.eliminated), G.shape[1]))
+    nodes[schedule.boundary_ids] = corner_d
+    block = max(1, metrics._REDUCE_BLOCK_ENTRIES // schedule.slots)
+    for s in range(0, G.shape[1], block):
+        part, g = nodes[:, s:s + block], G[:, s:s + block]
+        for x, around, slots in reversed(schedule.eliminated):
+            part[x] = np.min(part[np.asarray(around)] + g[np.asarray(slots)], axis=0)
+    return nodes
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("name", list(PATTERNS))
+def test_elimination_matches_inf_and_gather_references(name, blocked, monkeypatch):
+    pattern = PATTERNS[name]
+    k, q = pattern.spec.letters, pattern.spec.boundary
+    schedule = metrics.reduction_schedule(pattern)
+    if blocked:  # two parents per block: seven parents run in four blocks
+        monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * schedule.slots)
+    # other weights when blocked, so that no table freed by the unblocked
+    # case holds the expected rows
+    rng = np.random.default_rng(11 + blocked)
+
+    def weights(*shape):  # a quarter of them exact zeros
+        return np.where(rng.random(shape) < 0.25, 0.0, rng.exponential(size=shape))
+
+    W = weights(q * (q - 1) // 2, k * 7)
+    G = metrics._reduce_cells(W, schedule)
+    # every slot row, not only the corner rows
+    assert np.array_equal(G, inf_reduce_cells(W, schedule))
+    corner_d = weights(q, 7)
+    assert np.array_equal(metrics._fill_patterns(corner_d, G, schedule),
+                          gather_fill_patterns(corner_d, G, schedule))
+
+
 @functools.cache
 def builtin_hs(name):
     kind, param = name.split(":")

@@ -171,6 +171,15 @@ def test_vertex_counts_match_brute_force(kind, param, counts):
         assert build_level(spec, n).num_vertices == len(brute_force_address_classes(spec, n))
 
 
+def minimum_at_addresses(lg):
+    """Reference for LevelGraph.addresses: each id's first position in
+    cells.ravel(), by an unbuffered minimum over every address."""
+    flat = lg.cells.ravel()
+    first = np.full(lg.num_vertices, flat.size, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
+    return np.divmod(first, lg.spec.boundary)
+
+
 @pytest.mark.parametrize("kind,param,n", [
     ("gasket", 2, 10),
     ("gasket", 3, 6),
@@ -188,6 +197,8 @@ def test_deep_levels_keep_the_builder_invariants(kind, param, n):
     ids, first = np.unique(lg.cells.ravel(), return_index=True)
     assert np.array_equal(ids, np.arange(lg.num_vertices))
     assert np.all(np.diff(first) > 0)
+    for got, ref in zip(lg.addresses, minimum_at_addresses(lg)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
     if (kind, param) == ("gasket", 2):
         assert lg.num_vertices == (3 ** (n + 1) + 3) // 2
     assert lg.boundary_ids == [lg.vertex_id(VertexRef((), a)) for a in range(spec.boundary)]
