@@ -82,27 +82,26 @@ def child_values(hs: HarmonicStructure, C: np.ndarray, s: int) -> np.ndarray:
     ``C`` is ``[cells, q, N]``; the result is ``[cells * k**s, q, N]`` in
     big-endian order, the ``k**s`` descendants of each cell contiguous.  Built
     by the one-letter recursion ``C[prefix*k + i] = A_i @ C[prefix]``, run on
-    a cells-last ``[q, N, P]`` array ``T``: each letter is one matrix product
-    ``A_i @ T.reshape(q, N * P)`` over all ``P`` cells at once, written to
-    slot ``i`` of a ``[q, N, P, k]`` array that becomes ``[q, N, P * k]``.
-    The result is a ``[cells, q, N]`` view of that array, so each
-    ``result[:, a, j]`` is a contiguous row.  A product with one column would
-    be computed by numpy as a matrix-vector product, whose rounding differs
-    from the matrix-matrix one, so it is padded to two columns: every cell
-    then gets the same bits whichever block of cells it is expanded in.
+    a cells-last ``[q, N, P]`` array ``T``: each step is one broadcast
+    ``np.matmul`` with ``M[a, 0, b, i] = A_i[a, b]``, a ``[P, q] @ [q, k]``
+    product for each corner ``a`` and component ``j`` that covers all ``k``
+    letters, written straight into a ``[q, N, P, k]`` array that becomes
+    ``[q, N, P * k]``.  The result is a ``[cells, q, N]`` view of that array,
+    so each ``result[:, a, j]`` is a contiguous row.  A product from one cell
+    would be computed by numpy as a vector-matrix product, whose rounding
+    differs from the matrix-matrix one, so it is padded to two cells: every
+    cell then gets the same bits whichever block of cells it is expanded in.
     """
     k = hs.spec.letters
     q, N = C.shape[1], C.shape[2]
+    M = np.stack(hs.A, axis=-1)[:, None]  # M[a, 0, b, i] = A_i[a, b]
     T = np.ascontiguousarray(C.transpose(1, 2, 0))
     for _ in range(s):
         P = T.shape[2]
-        flat = T.reshape(q, N * P)
-        if N * P == 1:
-            flat = np.repeat(flat, 2, axis=1)
-        out = np.empty((q, N, P, k))
-        for i in range(k):
-            out[..., i] = (hs.A[i] @ flat)[:, :N * P].reshape(q, N, P)
-        T = out.reshape(q, N, P * k)
+        X = np.repeat(T, 2, axis=2) if P == 1 else T
+        out = np.empty((q, N, X.shape[2], k))
+        np.matmul(X.transpose(1, 2, 0)[None], M, out=out)
+        T = out[:, :, :P].reshape(q, N, P * k)
     return T.transpose(2, 0, 1)
 
 
@@ -112,7 +111,7 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     Returns ``C`` of shape ``[k**n, q, N]`` in big-endian cell-code order:
     ``C[w, :, j]`` are the values of component ``j`` along the corners of cell
     ``w``, expanded from the tuple's boundary rows by :func:`child_values`
-    with one matrix product per letter.  ``C`` is a view of a cells-last
+    with one matrix product per level.  ``C`` is a view of a cells-last
     ``[q, N, k**n]`` array: ``C[:, a, j]`` is contiguous, ``C[w]`` is not.
     The level's address count is checked first (:func:`level_address_count`):
     a negative ``n`` raises ``ValueError`` and an oversized one

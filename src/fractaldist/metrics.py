@@ -684,12 +684,14 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
 
 def _prefix_level(k: int, n: int, m: int) -> int:
     """Level ``p`` whose cells :func:`corner_walks` expands to level ``n``:
-    ``n - s`` for the deepest ``s <= n - m`` with ``k**s`` leaves at most
-    ``_STREAM_BLOCK_CELLS``."""
+    ``max(m, n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
+    most ``_STREAM_BLOCK_CELLS``: the deepest level that fits in one block,
+    or ``n`` itself if it does.  Past level ``2 * s`` that is ``n - s``, and
+    each prefix cell is expanded by ``s`` letters."""
     s = 0
-    while s < n - m and k ** (s + 1) <= _STREAM_BLOCK_CELLS:
+    while k ** (s + 1) <= _STREAM_BLOCK_CELLS:
         s += 1
-    return n - s
+    return max(m, n - s, min(n, s))
 
 
 def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
@@ -699,13 +701,15 @@ def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
 
     At ``m == n`` these are the embedded corner-to-corner lengths of the
     whole level.  Below, level ``n`` is streamed: the values of the cells of
-    the prefix level ``p`` (:func:`_prefix_level`) are built once, and each
-    block of them is expanded by ``n - p`` letters (:func:`child_values`),
-    measured and reduced back to level ``p``, so no more than one block of
-    level-``n`` cells is held.  The level-``p`` table is then reduced to
-    level ``m``.  Each cell's arithmetic is that of the whole level, so the
-    bits do not depend on the blocks.  The result is cached on the context,
-    keyed by ``(n, m)``.
+    the prefix level ``p`` (:func:`_prefix_level`), at most one block of
+    cells up to level ``2 * s``, are built once.  If ``p == n`` they are
+    measured as they are; else each block of them is expanded by ``n - p``
+    letters (:func:`child_values`), measured and reduced back to level
+    ``p``, so no more than one block of level-``n`` cells is held.  The
+    prefix values are freed and the level-``p`` table is reduced to level
+    ``m``.  Each cell's arithmetic is that of the whole level, so the bits
+    do not depend on the blocks.  The result is cached on the context, keyed
+    by ``(n, m)``.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")
@@ -721,14 +725,18 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     """The reduction of :func:`corner_walks` below the walk level."""
     p = _prefix_level(ctx.spec.letters, n, m)
     prefixes = cell_boundary_values(ctx.hs, ctx.h, p)
-    q = ctx.spec.boundary
-    block = max(1, _STREAM_BLOCK_CELLS // ctx.spec.letters ** (n - p))
-    W = np.empty((q * (q - 1) // 2, len(prefixes)))
-    for start in range(0, len(prefixes), block):
-        part = _corner_lengths(child_values(ctx.hs, prefixes[start:start + block], n - p))
-        for _ in range(n - p):
-            part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
-        W[:, start:start + block] = part
+    if p == n:
+        W = _corner_lengths(prefixes)
+    else:
+        q = ctx.spec.boundary
+        block = max(1, _STREAM_BLOCK_CELLS // ctx.spec.letters ** (n - p))
+        W = np.empty((q * (q - 1) // 2, len(prefixes)))
+        for start in range(0, len(prefixes), block):
+            part = _corner_lengths(child_values(ctx.hs, prefixes[start:start + block], n - p))
+            for _ in range(n - p):
+                part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
+            W[:, start:start + block] = part
+    del prefixes
     for _ in range(p - m):
         W = _reduce_cells(W, ctx.schedule)[ctx.schedule.corners]
     return W

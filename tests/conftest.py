@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -14,6 +15,13 @@ settings.register_profile("fixed", derandomize=True, deadline=None)
 settings.load_profile("fixed")
 
 UNIT_TRIANGLE_D = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+
+
+@functools.cache
+def builtin_hs(name):
+    """Harmonic structure of a builtin spec named ``kind:param``."""
+    kind, param = name.split(":")
+    return HarmonicStructure.build(generate_spec(kind, int(param)))
 
 
 def shortest_pair_weights(lg, W):

@@ -25,7 +25,7 @@ from fractaldist.measures import (
 )
 from fractaldist.structure import VertexRef, build_level, decode_word
 
-from conftest import UNIT_TRIANGLE_D
+from conftest import UNIT_TRIANGLE_D, builtin_hs
 
 
 def random_tuple(rng, n_components=2):
@@ -310,6 +310,39 @@ def test_child_values_independent_of_block(request, fixture, n_components):
             parts = [child_values(hs, prefixes[i:i + size], s)
                      for i in range(0, len(prefixes), size)]
             assert np.array_equal(np.concatenate(parts), whole), (p, size)
+
+
+def per_letter_child_values(hs, C, s):
+    """Reference for child_values: one product ``A_i @ T`` per letter over
+    the cells-last table, scattered into slot ``i`` of the output."""
+    k = hs.spec.letters
+    q, N = C.shape[1], C.shape[2]
+    T = np.ascontiguousarray(C.transpose(1, 2, 0))
+    for _ in range(s):
+        P = T.shape[2]
+        flat = T.reshape(q, N * P)
+        if N * P == 1:
+            flat = np.repeat(flat, 2, axis=1)
+        out = np.empty((q, N, P, k))
+        for i in range(k):
+            out[..., i] = (hs.A[i] @ flat)[:, :N * P].reshape(q, N, P)
+        T = out.reshape(q, N, P * k)
+    return T.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+@pytest.mark.parametrize("name", ["gasket:2", "gasket:3", "gasket:4", "polygasket:6",
+                                  "polygasket:9"])
+def test_child_values_matches_per_letter_products(name, n_components):
+    # from one cell the first step multiplies a single row, which numpy
+    # would run as a vector-matrix product if it were not padded
+    hs = builtin_hs(name)
+    rng = np.random.default_rng(50 + n_components)
+    for cells, depth in ((1, 4), (2, 3), (37, 2)):
+        C = rng.normal(size=(cells, hs.spec.boundary, n_components))
+        for s in range(depth + 1):
+            assert np.array_equal(child_values(hs, C, s),
+                                  per_letter_child_values(hs, C, s)), (cells, s)
 
 
 @pytest.mark.parametrize("fixture", BUILTIN_HS)

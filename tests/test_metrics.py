@@ -38,7 +38,7 @@ from fractaldist.structure import (
     vertex_rows,
 )
 
-from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D
+from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D, builtin_hs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -577,12 +577,6 @@ def test_elimination_matches_inf_and_gather_references(name, blocked, monkeypatc
                           gather_fill_patterns(corner_d, G, schedule))
 
 
-@functools.cache
-def builtin_hs(name):
-    kind, param = name.split(":")
-    return HarmonicStructure.build(generate_spec(kind, int(param)))
-
-
 @pytest.mark.parametrize("name", ["gasket:2", "gasket:3", "polygasket:6", "polygasket:9"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -604,6 +598,74 @@ def test_corner_walks_stream_matches_whole_level(name, data):
     with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk):
         for m in range(n + 1):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
+
+
+def test_corner_walks_reduce_few_small_blocks(monkeypatch):
+    # gasket:3 level 8 streams from level 6, the deepest that fits in one
+    # block: each block of prefixes is reduced two steps and the level-6
+    # table once, so only its last two steps (6 parents and 1) run over
+    # fewer than 36 parents; streaming from level 2 made 74 such calls
+    ctx = MetricContext(builtin_hs("gasket:3"))
+    parents = []
+    reduce_cells = metrics._reduce_cells
+
+    def counting_reduce_cells(W, schedule):
+        parents.append(W.shape[1] // len(schedule.cells))
+        return reduce_cells(W, schedule)
+
+    monkeypatch.setattr(metrics, "_reduce_cells", counting_reduce_cells)
+    metrics.corner_walks(ctx, 8, 0)
+    assert sum(p < 36 for p in parents) <= 2
+
+
+def test_streamed_prefix_table_fits_in_one_block(monkeypatch):
+    ctx = MetricContext(builtin_hs("gasket:3"))
+    sizes = []
+
+    def recording_cell_boundary_values(hs, h, n):
+        values = cell_boundary_values(hs, h, n)
+        sizes.append(len(values))
+        return values
+
+    monkeypatch.setattr(metrics, "cell_boundary_values", recording_cell_boundary_values)
+    for n in range(1, 9):
+        for m in {0, min(2, n - 1)}:
+            metrics.corner_walks(ctx, n, m)
+    # the prefix level is the deepest one that fits: 6**6 cells from level 6 on
+    assert max(sizes) == 6 ** 6 <= metrics._STREAM_BLOCK_CELLS
+
+
+# float.hex of corner_walks(ctx, 7, 0) and of the first four cells of
+# corner_walks(ctx, 7, 2) with the default tuple, frozen from the per-letter
+# child_values products and the n - s prefix level: a change to the
+# expansion or to the stream that moves one bit fails here
+CORNER_WALKS_7 = {
+    "gasket:3": (
+        ["0x1.c6413c74d4e08p-1", "0x1.c6413c74d4e07p-1", "0x1.c6413c74d4e08p-1"],
+        [["0x1.3b6bd5e9051b2p-3", "0x1.69f4d28b84146p-4", "0x1.0f5ae1aaecc3ap-4",
+          "0x1.703ba3dc5518bp-4"],
+         ["0x1.3b6bd5e9051b0p-3", "0x1.0f5ae1aaecc36p-4", "0x1.69f4d28b8414bp-4",
+          "0x1.3f93289a77408p-5"],
+         ["0x1.23a10881052aap-4", "0x1.3d8b22c3b1f89p-5", "0x1.3d8b22c3b1f8ap-5",
+          "0x1.1b068f7e79f49p-4"]]),
+    "polygasket:6": (
+        ["0x1.b6930f38746bap-1", "0x1.b6930f38746bbp-1", "0x1.b6930f38746bbp-1"],
+        [["0x1.0adaf85e95f8ep-3", "0x1.6928737db7dc2p-5", "0x1.7da97538586eep-4",
+          "0x1.110281f60c414p-6"],
+         ["0x1.0adaf85e95f8fp-3", "0x1.6928737db7dbap-5", "0x1.90a9387533659p-5",
+          "0x1.110281f60c415p-6"],
+         ["0x1.6c1033972e41ep-5", "0x1.6928737db7dbdp-4", "0x1.fb318b077d4a0p-5",
+          "0x1.110281f60c414p-5"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(CORNER_WALKS_7))
+def test_corner_walks_keep_frozen_bits(name):
+    ctx = MetricContext(builtin_hs(name))
+    whole, cells = CORNER_WALKS_7[name]
+    assert [float.hex(float(v)) for v in metrics.corner_walks(ctx, 7, 0)[:, 0]] == whole
+    assert [[float.hex(float(v)) for v in row]
+            for row in metrics.corner_walks(ctx, 7, 2)[:, :4]] == cells
 
 
 def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):
