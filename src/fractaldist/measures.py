@@ -28,7 +28,8 @@ from .structure import (
 )
 
 FEASIBILITY_RTOL = 1e-9
-# cells whose corner_products table cell_form holds at once: a few MiB
+# cells whose corner_products table cell_form, and whose gathered values
+# cell_energies, hold at once: a few MiB
 _FORM_BLOCK_CELLS = 1 << 16
 
 
@@ -177,8 +178,16 @@ def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.n
 
 def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.ndarray:
     """Per-cell measure of the piecewise-harmonic interpolant of ``f``:
-    ``(2 / r_w) * E0(f restricted to the cell)`` for every level cell."""
-    return cell_form(hs.D, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float)[lg.cells])
+    ``(2 / r_w) * E0(f restricted to the cell)`` for every level cell, by
+    :func:`cell_form` on the values ``f[cells]`` gathered one block of cells
+    at a time."""
+    f = np.asarray(f, dtype=float)
+    rw = renorm_products(hs.r, lg.level)
+    energy = np.empty(len(lg.cells))
+    for s in range(0, len(energy), _FORM_BLOCK_CELLS):
+        part = slice(s, s + _FORM_BLOCK_CELLS)
+        energy[part] = cell_form(hs.D, rw[part], f[lg.cells[part]])
+    return energy
 
 
 def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,

@@ -20,7 +20,10 @@ subtrees at a time (:func:`corner_walks`), so they never hold a whole level.
 Profiles and certificates, which need every vertex, keep each level's
 elimination table on the way up and run the elimination backwards on the way
 down (:func:`geodesic_profile`); the path of :func:`discrete_geodesic` is
-walked back over the level's cell edges that its profile holds tight.  The
+walked back over the level's cell edges that its profile holds tight.  They
+hold per-cell numbers of the whole level (corner lengths, measures), never
+its cells' corner values: every reader of those runs over one block of cells
+at a time (:func:`_cell_blocks`).  The
 level-``n`` graph itself (:func:`weighted_level_graph`) is built on demand,
 for the ``graph`` export and the tests' Dijkstra oracles only.
 
@@ -50,6 +53,7 @@ from .measures import (
     HarmonicTuple,
     SlackTable,
     cell_boundary_values,
+    cell_energies,
     cell_form,
     child_values,
     check_domination,
@@ -77,18 +81,15 @@ PATH_RTOL = 1e-12
 
 @dataclass
 class LevelData:
-    """Cached arrays of one whole level, each built on its first request:
-    each cell's tuple boundary values, the vertex graph and the tuple's cell
-    measures."""
+    """Cached arrays of one whole level, each built on its first request: the
+    vertex graph, and the per-cell numbers that the routes read (the cells'
+    embedded corner lengths and the tuple's cell measures), each filled block
+    by block from :func:`_cell_blocks`.  No array holds the corner values of
+    the whole level."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
     level: int
-
-    @functools.cached_property
-    def cell_values(self) -> np.ndarray:
-        """``[ncells, q, N]`` corner values, as :func:`cell_boundary_values`."""
-        return cell_boundary_values(self.hs, self.h, self.level)
 
     @functools.cached_property
     def lg(self) -> LevelGraph:
@@ -96,9 +97,24 @@ class LevelData:
         return build_level(self.hs.spec, self.level)
 
     @functools.cached_property
+    def lengths(self) -> np.ndarray:
+        """``[pairs, cells]`` embedded corner lengths, as :func:`_corner_lengths`;
+        read-only, since every caller shares it."""
+        W = None
+        for start, values in _cell_blocks(self.hs, self.h, self.level):
+            W = _put_block(W, _corner_lengths(values), start, self.hs.spec.letters ** self.level)
+        W.flags.writeable = False
+        return W
+
+    @functools.cached_property
     def mu(self) -> np.ndarray:
         """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
-        return cell_form(self.hs.D, renorm_products(self.hs.r, self.level), self.cell_values)
+        rw = renorm_products(self.hs.r, self.level)
+        mu = None
+        for start, values in _cell_blocks(self.hs, self.h, self.level):
+            part = cell_form(self.hs.D, rw[start:start + len(values)], values)
+            mu = _put_block(mu, part, start, len(rw))
+        return mu
 
 
 class MetricContext:
@@ -150,14 +166,16 @@ class MetricContext:
     def coords(self, n: int) -> np.ndarray:
         """Embedding coordinates of every level-``n`` vertex, shape [nv, N].
 
-        Scatter of the per-cell values, one corner at a time; identified
-        corners receive identical values, making the table independent of the
-        scatter order.
+        Scatter of the per-cell values of each block of :func:`_cell_blocks`,
+        one corner at a time; identified corners receive identical values,
+        making the table independent of the scatter order.
         """
-        data = self.level(n)
-        T = np.empty((data.lg.num_vertices, self.n_components))
-        for a in range(data.lg.cells.shape[1]):
-            T[data.lg.cells[:, a]] = data.cell_values[:, a]
+        lg = self.level(n).lg
+        T = np.empty((lg.num_vertices, self.n_components))
+        for start, values in _cell_blocks(self.hs, self.h, n):
+            part = lg.cells[start:start + len(values)]
+            for a in range(lg.cells.shape[1]):
+                T[part[:, a]] = values[:, a]
         return T
 
 
@@ -170,9 +188,10 @@ def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
 
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
-    per unordered corner pair per cell, weights = embedded Euclidean lengths."""
+    per unordered corner pair per cell, weights = embedded Euclidean lengths,
+    a read-only view of :attr:`LevelData.lengths`."""
     data = ctx.level(n)
-    return (*cell_pairs(data.lg), _corner_lengths(data.cell_values).ravel())
+    return (*cell_pairs(data.lg), data.lengths.ravel())
 
 
 def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
@@ -183,9 +202,9 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
     Where cells share a vertex pair the shorter weight is kept: the COO to
     CSR conversion sums such entries, so only when it stores fewer entries
     than doubled edges are the weights reduced again, by their minimum over
-    each sorted key, which is the CSR's own order.  ``W`` and the edge
-    columns are released before the conversion because the deepest levels
-    run close to the memory budget.
+    each sorted key, which is the CSR's own order.  The edge columns, and
+    ``W`` unless a cache holds it, are released before the conversion
+    because the deepest levels run close to the memory budget.
     """
     nv = lg.num_vertices
     u, v = cell_pairs(lg)
@@ -230,7 +249,9 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` to every level-``n``
     vertex, without the level-``n`` graph.
 
-    The level's corner lengths are reduced up the cell tree to the level
+    The level's corner lengths (:attr:`LevelData.lengths`, measured one
+    block of cells at a time and shared with :func:`edge_arrays`) are
+    reduced up the cell tree to the level
     ``m`` of ``x`` (:func:`_reduce_cells`), keeping each level's elimination
     table; Dijkstra runs on the level-``m`` skeleton, as in
     :func:`geodesic_converge`; the tables are then run backwards down the
@@ -243,7 +264,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     lift(ctx.spec, x, n)  # x must name a vertex of level n
     m = x.level
     schedule = ctx.schedule
-    W = _corner_lengths(data.cell_values)
+    W = data.lengths
     tables = []
     for _ in range(n - m):
         tables.append(_reduce_cells(W, schedule))
@@ -490,7 +511,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     slack = cert.slack.slack[-1]  # mu minus the cell energies of f
     for iterations in range(1, budget + 1):
         if iterations > 1:
-            slack = mu - cell_form(D, rw, f[cells])
+            slack = mu - cell_energies(ctx.hs, data.lg, f)
         # reciprocal-slack penalty steers mass away from nearly tight cells
         wpen = 1.0 / np.maximum(slack, eps)
         wpen *= 0.25 * 0.05 / wpen.max()
@@ -500,7 +521,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
         d = obj_grad - np.bincount(u, coef, len(f)) + np.bincount(v, coef, len(f))
         gain = d[y_id] - d[x_id]
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
-        a = cell_form(D, rw, d[cells])
+        a = cell_energies(ctx.hs, data.lg, d)
         b = 2.0 * cell_form(D, rw, f[cells], d[cells])
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = b * b + 4.0 * a * slack
@@ -527,8 +548,8 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
 # parents closed at once by _reduce_cells: its [slots, parents] work array
 # stays at 2**18 entries (2 MiB), which keeps the row operations in cache
 _REDUCE_BLOCK_ENTRIES = 1 << 18
-# leaf cells expanded at once by corner_walks: a block's [cells, q, N] values
-# and [pairs, cells] lengths stay at a few MiB, whatever the walk level
+# leaf cells expanded at once by _cell_blocks: a block's [cells, q, N] values
+# and [pairs, cells] lengths stay at a few MiB, whatever the level
 _STREAM_BLOCK_CELLS = 1 << 16
 
 
@@ -683,7 +704,7 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
 
 
 def _prefix_level(k: int, n: int, m: int) -> int:
-    """Level ``p`` whose cells :func:`corner_walks` expands to level ``n``:
+    """Level ``p`` whose cells :func:`_cell_blocks` expands to level ``n``:
     ``max(m, n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
     most ``_STREAM_BLOCK_CELLS``: the deepest level that fits in one block,
     or ``n`` itself if it does.  Past level ``2 * s`` that is ``n - s``, and
@@ -700,43 +721,65 @@ def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     :func:`_reduce_cells`), for ``0 <= m <= n``.
 
     At ``m == n`` these are the embedded corner-to-corner lengths of the
-    whole level.  Below, level ``n`` is streamed: the values of the cells of
-    the prefix level ``p`` (:func:`_prefix_level`), at most one block of
-    cells up to level ``2 * s``, are built once.  If ``p == n`` they are
-    measured as they are; else each block of them is expanded by ``n - p``
-    letters (:func:`child_values`), measured and reduced back to level
-    ``p``, so no more than one block of level-``n`` cells is held.  The
-    prefix values are freed and the level-``p`` table is reduced to level
-    ``m``.  Each cell's arithmetic is that of the whole level, so the bits
-    do not depend on the blocks.  The result is cached on the context, keyed
-    by ``(n, m)``.
+    whole level, :attr:`LevelData.lengths`, read-only.  Below, level ``n`` is
+    streamed (:func:`_streamed_walks`), so no more than one block of
+    level-``n`` cells is held; the result is cached on the context, keyed by
+    ``(n, m)``.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")
     if m == n:
-        return _corner_lengths(ctx.level(n).cell_values)
+        return ctx.level(n).lengths
     W = ctx._walks.get((n, m))
     if W is None:
         W = ctx._walks[(n, m)] = _streamed_walks(ctx, n, m)
     return W
 
 
+def _cell_blocks(hs: HarmonicStructure, h: HarmonicTuple, n: int, m: int = 0):
+    """Yield ``(start, values)`` blocks of the level-``n`` cells' corner
+    values, as :func:`cell_boundary_values`, in cell order.
+
+    The prefix level ``p = _prefix_level(k, n, m)`` is built once, and each
+    block of its cells is expanded by ``n - p`` letters (:func:`child_values`)
+    to at most ``_STREAM_BLOCK_CELLS`` cells; the bits do not depend on the
+    blocks.  A consumer that keeps working on a block after measuring it
+    drops ``values`` first, so that the block is freed before the next one.
+    """
+    p = _prefix_level(hs.spec.letters, n, m)
+    span = hs.spec.letters ** (n - p)
+    block = max(1, _STREAM_BLOCK_CELLS // span)
+    prefixes = cell_boundary_values(hs, h, p)
+    for start in range(0, len(prefixes), block):
+        yield start * span, child_values(hs, prefixes[start:start + block], n - p)
+
+
+def _put_block(out: np.ndarray | None, part: np.ndarray, start: int, total: int) -> np.ndarray:
+    """Write ``part`` into columns ``start:`` of the last axis of ``out``, a
+    ``total``-column table made on the first block; a block of all ``total``
+    columns is returned as it is."""
+    if part.shape[-1] == total:
+        return part
+    if out is None:
+        out = np.empty(part.shape[:-1] + (total,))
+    out[..., start:start + part.shape[-1]] = part
+    return out
+
+
 def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
-    """The reduction of :func:`corner_walks` below the walk level."""
-    p = _prefix_level(ctx.spec.letters, n, m)
-    prefixes = cell_boundary_values(ctx.hs, ctx.h, p)
-    if p == n:
-        W = _corner_lengths(prefixes)
-    else:
-        q = ctx.spec.boundary
-        block = max(1, _STREAM_BLOCK_CELLS // ctx.spec.letters ** (n - p))
-        W = np.empty((q * (q - 1) // 2, len(prefixes)))
-        for start in range(0, len(prefixes), block):
-            part = _corner_lengths(child_values(ctx.hs, prefixes[start:start + block], n - p))
-            for _ in range(n - p):
-                part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
-            W[:, start:start + block] = part
-    del prefixes
+    """The reduction of :func:`corner_walks` below the walk level: each
+    block of :func:`_cell_blocks` is measured and reduced back to the prefix
+    level ``p``, into one level-``p`` table; the prefix values are freed
+    with the last block, and that table is reduced to level ``m``."""
+    k = ctx.spec.letters
+    p = _prefix_level(k, n, m)
+    W = None
+    for start, values in _cell_blocks(ctx.hs, ctx.h, n, m):
+        part = _corner_lengths(values)
+        del values  # not held through the block's reductions
+        for _ in range(n - p):
+            part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
+        W = _put_block(W, part, start // k ** (n - p), k ** p)
     for _ in range(p - m):
         W = _reduce_cells(W, ctx.schedule)[ctx.schedule.corners]
     return W

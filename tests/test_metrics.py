@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from fractaldist import metrics
+from fractaldist import measures, metrics
 from fractaldist.errors import FractalDistError, ResourceLimitError
-from fractaldist.harmonic import HarmonicStructure
-from fractaldist.measures import HarmonicTuple, cell_boundary_values
+from fractaldist.harmonic import HarmonicStructure, renorm_products
+from fractaldist.measures import (
+    HarmonicTuple,
+    cell_boundary_values,
+    cell_energies,
+    cell_form,
+    child_values,
+)
 from fractaldist.metrics import (
     MetricContext,
     default_cap,
@@ -598,6 +604,89 @@ def test_corner_walks_stream_matches_whole_level(name, data):
     with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk):
         for m in range(n + 1):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
+
+
+# a regular harmonic structure on gasket:2 whose weights differ per letter:
+# unequal boundary conductances, with r solved from the regularity equations
+SKEW_GASKET_D = np.array([[-2.3, 1.0, 1.3], [1.0, -1.8, 0.8], [1.3, 0.8, -2.1]])
+SKEW_GASKET_R = [0.5628759129987719, 0.6349840097708683, 0.6006323915912465]
+
+
+@functools.cache
+def skew_gasket_hs():
+    return HarmonicStructure.build(generate_spec("gasket", 2), SKEW_GASKET_D, SKEW_GASKET_R)
+
+
+@pytest.mark.parametrize("name", ["gasket:2", "gasket:3", "polygasket:6", "polygasket:9",
+                                  "skew gasket:2"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_level_tables_match_whole_level(name, data):
+    hs = skew_gasket_hs() if name.startswith("skew") else builtin_hs(name)
+    k = hs.spec.letters
+    n = data.draw(st.integers(0, max(n for n in range(7) if k ** n <= 1296)))
+    # blocks of one cell up to one block per level, as for corner_walks
+    chunk = data.draw(st.integers(1, 3)) * k ** data.draw(st.integers(0, n))
+    ctx = MetricContext(hs)
+    lg = ctx.level(n).lg
+    f = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(size=lg.num_vertices)
+    # whole-level references: one values table, one cell_form, one gather,
+    # and the corner-by-corner scatter of the values
+    values = cell_boundary_values(hs, ctx.h, n)
+    rw = renorm_products(hs.r, n)
+    lengths = metrics._corner_lengths(values)
+    mu = cell_form(hs.D, rw, values)
+    energies = cell_form(hs.D, rw, f[lg.cells])
+    coords = np.empty((lg.num_vertices, ctx.n_components))
+    for a in range(lg.cells.shape[1]):
+        coords[lg.cells[:, a]] = values[:, a]
+    with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk), \
+            mock.patch.object(measures, "_FORM_BLOCK_CELLS", chunk):
+        assert np.array_equal(ctx.level(n).lengths, lengths)
+        assert np.array_equal(ctx.level(n).mu, mu)
+        assert np.array_equal(ctx.coords(n), coords)
+        assert np.array_equal(cell_energies(hs, lg, f), energies)
+    # the cached lengths are shared by every caller
+    with pytest.raises(ValueError):
+        metrics.corner_walks(ctx, n, n)[0, 0] = 0.0
+
+
+def test_full_level_routes_hold_one_block(monkeypatch):
+    # gasket:2 level 7 in blocks of 27 cells streams from level 7 - 3: its
+    # 81 prefix cells are built whole, and each block expands one of them
+    n, block = 7, 27
+    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", block)
+    prefix_cells = 3 ** metrics._prefix_level(3, n, 0)
+    assert prefix_cells == 81 < 3 ** n
+    built, expanded = [], []
+
+    def recording(function, sizes):
+        def record(*args):
+            values = function(*args)
+            sizes.append(len(values))
+            return values
+        return record
+
+    monkeypatch.setattr(metrics, "cell_boundary_values", recording(cell_boundary_values, built))
+    monkeypatch.setattr(measures, "cell_boundary_values", recording(cell_boundary_values, built))
+    monkeypatch.setattr(metrics, "child_values", recording(child_values, expanded))
+    x, y = CORNER[0], CORNER[1]
+    ctx = MetricContext(builtin_hs("gasket:2"))
+    routes = {
+        "profile": lambda: geodesic_profile(ctx, x, n),
+        "certificate": lambda: intrinsic_certificate(ctx, x, y, n),
+        "geodesic": lambda: discrete_geodesic(ctx, x, y, n),
+        "coords": lambda: ctx.coords(n),
+        "graph": lambda: weighted_level_graph(ctx, n),
+        "estimate": lambda: intrinsic_estimate(ctx, x, y, n, budget=2),
+    }
+    for name, route in routes.items():
+        ctx.evict()
+        del built[:], expanded[:]
+        route()
+        assert expanded and max(expanded) <= block, name
+        assert max(built) <= prefix_cells, name
+    assert not hasattr(metrics.LevelData, "cell_values")
 
 
 def test_corner_walks_reduce_few_small_blocks(monkeypatch):
