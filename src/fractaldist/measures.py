@@ -28,9 +28,12 @@ from .structure import (
 )
 
 FEASIBILITY_RTOL = 1e-9
-# cells whose corner_products table cell_form, and whose gathered values
-# cell_energies, hold at once: a few MiB
+# cells whose gathered values and corner_products table cell_form holds at
+# once: a few MiB
 _FORM_BLOCK_CELLS = 1 << 16
+# leaf cells expanded at once by _cell_blocks: a block's [cells, q, N] values
+# and [pairs, cells] lengths stay at a few MiB, whatever the level
+_STREAM_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,48 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 
+def _prefix_level(k: int, n: int, m: int) -> int:
+    """Level ``p`` whose cells :func:`_cell_blocks` expands to level ``n``:
+    ``max(m, n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
+    most ``_STREAM_BLOCK_CELLS``: the deepest level that fits in one block,
+    or ``n`` itself if it does.  Past level ``2 * s`` that is ``n - s``, and
+    each prefix cell is expanded by ``s`` letters."""
+    s = 0
+    while k ** (s + 1) <= _STREAM_BLOCK_CELLS:
+        s += 1
+    return max(m, n - s, min(n, s))
+
+
+def _cell_blocks(hs: HarmonicStructure, h: HarmonicTuple, n: int, m: int = 0):
+    """Yield ``(start, values)`` blocks of the level-``n`` cells' corner
+    values, as :func:`cell_boundary_values`, in cell order.
+
+    The prefix level ``p = _prefix_level(k, n, m)`` is built once, and each
+    block of its cells is expanded by ``n - p`` letters (:func:`child_values`)
+    to at most ``_STREAM_BLOCK_CELLS`` cells; the bits do not depend on the
+    blocks.  A consumer that keeps working on a block after measuring it
+    drops ``values`` first, so that the block is freed before the next one.
+    """
+    p = _prefix_level(hs.spec.letters, n, m)
+    span = hs.spec.letters ** (n - p)
+    block = max(1, _STREAM_BLOCK_CELLS // span)
+    prefixes = cell_boundary_values(hs, h, p)
+    for start in range(0, len(prefixes), block):
+        yield start * span, child_values(hs, prefixes[start:start + block], n - p)
+
+
+def _put_block(out: np.ndarray | None, part: np.ndarray, start: int, total: int) -> np.ndarray:
+    """Write ``part`` into columns ``start:`` of the last axis of ``out``, a
+    ``total``-column table made on the first block; a block of all ``total``
+    columns is returned as it is."""
+    if part.shape[-1] == total:
+        return part
+    if out is None:
+        out = np.empty(part.shape[:-1] + (total,))
+    out[..., start:start + part.shape[-1]] = part
+    return out
+
+
 def corner_products(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """``[pairs, cells]`` table of corner-difference products ``sum_j (X[c, a,
     j] - X[c, b, j]) * (Y[c, a, j] - Y[c, b, j])``, corner pairs ``a < b`` in
@@ -143,17 +188,21 @@ def corner_products(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
 
 
 def cell_form(D: np.ndarray, rw: np.ndarray | float, X: np.ndarray,
-              Y: np.ndarray | None = None) -> np.ndarray:
+              Y: np.ndarray | None = None, cells: np.ndarray | None = None) -> np.ndarray:
     """Per-cell energy pairing ``(2 / r_w) * sum_j (-D X[c, :, j], Y[c, :, j])``.
 
     A valid ``D`` has the constants as its kernel, so this is ``(2 / r_w) *
     sum_p D[a, b] * corner_products(X, Y)[p]``: corner differences, which
-    keep their digits on small cells where the raw O(1) values cancel.
+    keep their digits on small cells where the raw O(1) values cancel.  With
+    a ``[cells, q]`` vertex table ``cells``, ``X`` and ``Y`` hold vertex
+    values and cell ``c`` reads ``X[cells[c]]``, gathered one block of cells
+    at a time.
     """
-    energy = np.empty(len(X))
-    for s in range(0, len(X), _FORM_BLOCK_CELLS):
+    energy = np.empty(len(X) if cells is None else len(cells))
+    for s in range(0, len(energy), _FORM_BLOCK_CELLS):
         part = slice(s, s + _FORM_BLOCK_CELLS)
-        table = corner_products(X[part], None if Y is None else Y[part])
+        at = part if cells is None else cells[part]
+        table = corner_products(X[at], None if Y is None else Y[at])
         table *= D[np.triu_indices(len(D), 1)][:, None]
         table.sum(axis=0, out=energy[part])
     energy *= 2.0
@@ -170,24 +219,23 @@ def harmonic_cell_measure(hs: HarmonicStructure, h: HarmonicTuple, word: Word) -
 
 
 def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
-    """Vector of measures of all level-``n`` cells (big-endian code order)."""
-    # first: cell_boundary_values checks the level before anything is allocated
-    values = cell_boundary_values(hs, h, n)
-    return cell_form(hs.D, renorm_products(hs.r, n), values)
+    """Vector of measures of all level-``n`` cells (big-endian code order),
+    by :func:`cell_form` on each block of :func:`_cell_blocks`."""
+    level_address_count(hs.spec, n)  # before rw, the first whole-level array
+    rw = renorm_products(hs.r, n)
+    mu = None
+    for start, values in _cell_blocks(hs, h, n):
+        part = cell_form(hs.D, rw[start:start + len(values)], values)
+        mu = _put_block(mu, part, start, len(rw))
+    return mu
 
 
 def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.ndarray:
     """Per-cell measure of the piecewise-harmonic interpolant of ``f``:
     ``(2 / r_w) * E0(f restricted to the cell)`` for every level cell, by
-    :func:`cell_form` on the values ``f[cells]`` gathered one block of cells
-    at a time."""
-    f = np.asarray(f, dtype=float)
-    rw = renorm_products(hs.r, lg.level)
-    energy = np.empty(len(lg.cells))
-    for s in range(0, len(energy), _FORM_BLOCK_CELLS):
-        part = slice(s, s + _FORM_BLOCK_CELLS)
-        energy[part] = cell_form(hs.D, rw[part], f[lg.cells[part]])
-    return energy
+    :func:`cell_form` on the values ``f[cells]``."""
+    return cell_form(hs.D, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float),
+                     cells=lg.cells)
 
 
 def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,

@@ -52,10 +52,10 @@ from .measures import (
     FEASIBILITY_RTOL,
     HarmonicTuple,
     SlackTable,
-    cell_boundary_values,
-    cell_energies,
+    _cell_blocks,
+    _prefix_level,
+    _put_block,
     cell_form,
-    child_values,
     check_domination,
     corner_products,
     default_tuple,
@@ -108,13 +108,8 @@ class LevelData:
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
-        """Tuple measures of the level cells, as :func:`tuple_cell_measures`."""
-        rw = renorm_products(self.hs.r, self.level)
-        mu = None
-        for start, values in _cell_blocks(self.hs, self.h, self.level):
-            part = cell_form(self.hs.D, rw[start:start + len(values)], values)
-            mu = _put_block(mu, part, start, len(rw))
-        return mu
+        """Tuple measures of the level cells, :func:`tuple_cell_measures`."""
+        return tuple_cell_measures(self.hs, self.h, self.level)
 
 
 class MetricContext:
@@ -511,7 +506,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     slack = cert.slack.slack[-1]  # mu minus the cell energies of f
     for iterations in range(1, budget + 1):
         if iterations > 1:
-            slack = mu - cell_energies(ctx.hs, data.lg, f)
+            slack = mu - cell_form(D, rw, f, cells=cells)
         # reciprocal-slack penalty steers mass away from nearly tight cells
         wpen = 1.0 / np.maximum(slack, eps)
         wpen *= 0.25 * 0.05 / wpen.max()
@@ -521,8 +516,8 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
         d = obj_grad - np.bincount(u, coef, len(f)) + np.bincount(v, coef, len(f))
         gain = d[y_id] - d[x_id]
         # largest feasible step: per-cell quadratic e(f + t d) <= mu
-        a = cell_energies(ctx.hs, data.lg, d)
-        b = 2.0 * cell_form(D, rw, f[cells], d[cells])
+        a = cell_form(D, rw, d, cells=cells)
+        b = 2.0 * cell_form(D, rw, f, d, cells=cells)
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = b * b + 4.0 * a * slack
             tq = np.where(a > 1e-300, (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a),
@@ -548,9 +543,6 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
 # parents closed at once by _reduce_cells: its [slots, parents] work array
 # stays at 2**18 entries (2 MiB), which keeps the row operations in cache
 _REDUCE_BLOCK_ENTRIES = 1 << 18
-# leaf cells expanded at once by _cell_blocks: a block's [cells, q, N] values
-# and [pairs, cells] lengths stay at a few MiB, whatever the level
-_STREAM_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -703,18 +695,6 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
     return nodes
 
 
-def _prefix_level(k: int, n: int, m: int) -> int:
-    """Level ``p`` whose cells :func:`_cell_blocks` expands to level ``n``:
-    ``max(m, n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
-    most ``_STREAM_BLOCK_CELLS``: the deepest level that fits in one block,
-    or ``n`` itself if it does.  Past level ``2 * s`` that is ``n - s``, and
-    each prefix cell is expanded by ``s`` letters."""
-    s = 0
-    while k ** (s + 1) <= _STREAM_BLOCK_CELLS:
-        s += 1
-    return max(m, n - s, min(n, s))
-
-
 def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     """Shortest level-``n`` walk inside each level-``m`` cell between its
     corners, as a ``[pairs, k**m]`` table (pairs and cells ordered as in
@@ -734,36 +714,6 @@ def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     if W is None:
         W = ctx._walks[(n, m)] = _streamed_walks(ctx, n, m)
     return W
-
-
-def _cell_blocks(hs: HarmonicStructure, h: HarmonicTuple, n: int, m: int = 0):
-    """Yield ``(start, values)`` blocks of the level-``n`` cells' corner
-    values, as :func:`cell_boundary_values`, in cell order.
-
-    The prefix level ``p = _prefix_level(k, n, m)`` is built once, and each
-    block of its cells is expanded by ``n - p`` letters (:func:`child_values`)
-    to at most ``_STREAM_BLOCK_CELLS`` cells; the bits do not depend on the
-    blocks.  A consumer that keeps working on a block after measuring it
-    drops ``values`` first, so that the block is freed before the next one.
-    """
-    p = _prefix_level(hs.spec.letters, n, m)
-    span = hs.spec.letters ** (n - p)
-    block = max(1, _STREAM_BLOCK_CELLS // span)
-    prefixes = cell_boundary_values(hs, h, p)
-    for start in range(0, len(prefixes), block):
-        yield start * span, child_values(hs, prefixes[start:start + block], n - p)
-
-
-def _put_block(out: np.ndarray | None, part: np.ndarray, start: int, total: int) -> np.ndarray:
-    """Write ``part`` into columns ``start:`` of the last axis of ``out``, a
-    ``total``-column table made on the first block; a block of all ``total``
-    columns is returned as it is."""
-    if part.shape[-1] == total:
-        return part
-    if out is None:
-        out = np.empty(part.shape[:-1] + (total,))
-    out[..., start:start + part.shape[-1]] = part
-    return out
 
 
 def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:

@@ -199,7 +199,7 @@ def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monke
     monkeypatch.setattr(metrics, "level_address_count",
                         lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
     # nine leaf cells per block: level n is streamed from level n - 2
-    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", 9)
+    monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 9)
     code, out = run_cli(tmp_path, "--spec", "gasket:2", "geodesic",
                         "--from=-:0", "--to=-:1", "--nmax", "8")
     assert code == 1

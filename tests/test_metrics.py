@@ -22,6 +22,7 @@ from fractaldist.measures import (
     cell_energies,
     cell_form,
     child_values,
+    tuple_cell_measures,
 )
 from fractaldist.metrics import (
     MetricContext,
@@ -222,7 +223,7 @@ def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
     monkeypatch.setattr(metrics, "level_address_count",
                         lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
     # nine leaf cells per block: level n is streamed from level n - 2
-    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", 9)
+    monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 9)
     ctx = MetricContext(sg2_hs)
     hist = geodesic_converge(ctx, CORNER[0], CORNER[1], 8, rtol=0.0)
     assert hist.entries == full.entries[:7]
@@ -601,7 +602,7 @@ def test_corner_walks_stream_matches_whole_level(name, data):
     whole = [metrics._corner_lengths(cell_boundary_values(hs, ctx.h, n))]
     for _ in range(n):
         whole.append(metrics._reduce_cells(whole[-1], ctx.schedule)[ctx.schedule.corners])
-    with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk):
+    with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk):
         for m in range(n + 1):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
 
@@ -630,22 +631,26 @@ def test_level_tables_match_whole_level(name, data):
     ctx = MetricContext(hs)
     lg = ctx.level(n).lg
     f = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(size=lg.num_vertices)
-    # whole-level references: one values table, one cell_form, one gather,
-    # and the corner-by-corner scatter of the values
+    g = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(size=lg.num_vertices)
+    # whole-level references: one values table, one cell_form on whole
+    # gathers, and the corner-by-corner scatter of the values
     values = cell_boundary_values(hs, ctx.h, n)
     rw = renorm_products(hs.r, n)
     lengths = metrics._corner_lengths(values)
     mu = cell_form(hs.D, rw, values)
     energies = cell_form(hs.D, rw, f[lg.cells])
+    pairing = cell_form(hs.D, rw, f[lg.cells], g[lg.cells])
     coords = np.empty((lg.num_vertices, ctx.n_components))
     for a in range(lg.cells.shape[1]):
         coords[lg.cells[:, a]] = values[:, a]
-    with mock.patch.object(metrics, "_STREAM_BLOCK_CELLS", chunk), \
+    with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk), \
             mock.patch.object(measures, "_FORM_BLOCK_CELLS", chunk):
         assert np.array_equal(ctx.level(n).lengths, lengths)
         assert np.array_equal(ctx.level(n).mu, mu)
+        assert np.array_equal(tuple_cell_measures(hs, ctx.h, n), mu)
         assert np.array_equal(ctx.coords(n), coords)
         assert np.array_equal(cell_energies(hs, lg, f), energies)
+        assert np.array_equal(cell_form(hs.D, rw, f, g, cells=lg.cells), pairing)
     # the cached lengths are shared by every caller
     with pytest.raises(ValueError):
         metrics.corner_walks(ctx, n, n)[0, 0] = 0.0
@@ -655,21 +660,28 @@ def test_full_level_routes_hold_one_block(monkeypatch):
     # gasket:2 level 7 in blocks of 27 cells streams from level 7 - 3: its
     # 81 prefix cells are built whole, and each block expands one of them
     n, block = 7, 27
-    monkeypatch.setattr(metrics, "_STREAM_BLOCK_CELLS", block)
-    prefix_cells = 3 ** metrics._prefix_level(3, n, 0)
+    monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", block)
+    prefix_cells = 3 ** measures._prefix_level(3, n, 0)
     assert prefix_cells == 81 < 3 ** n
-    built, expanded = [], []
+    built, expanded, building = [], [], []
 
-    def recording(function, sizes):
-        def record(*args):
-            values = function(*args)
-            sizes.append(len(values))
-            return values
-        return record
+    def recording_cell_boundary_values(*args):
+        building.append(True)
+        try:
+            values = cell_boundary_values(*args)
+        finally:
+            building.pop()
+        built.append(len(values))
+        return values
 
-    monkeypatch.setattr(metrics, "cell_boundary_values", recording(cell_boundary_values, built))
-    monkeypatch.setattr(measures, "cell_boundary_values", recording(cell_boundary_values, built))
-    monkeypatch.setattr(metrics, "child_values", recording(child_values, expanded))
+    def recording_child_values(*args):
+        values = child_values(*args)
+        if not building:  # a block expansion, not the build of a prefix table
+            expanded.append(len(values))
+        return values
+
+    monkeypatch.setattr(measures, "cell_boundary_values", recording_cell_boundary_values)
+    monkeypatch.setattr(measures, "child_values", recording_child_values)
     x, y = CORNER[0], CORNER[1]
     ctx = MetricContext(builtin_hs("gasket:2"))
     routes = {
@@ -679,6 +691,7 @@ def test_full_level_routes_hold_one_block(monkeypatch):
         "coords": lambda: ctx.coords(n),
         "graph": lambda: weighted_level_graph(ctx, n),
         "estimate": lambda: intrinsic_estimate(ctx, x, y, n, budget=2),
+        "measures": lambda: measures.cell_measure_table(ctx.hs, ctx.h, n),
     }
     for name, route in routes.items():
         ctx.evict()
@@ -716,12 +729,12 @@ def test_streamed_prefix_table_fits_in_one_block(monkeypatch):
         sizes.append(len(values))
         return values
 
-    monkeypatch.setattr(metrics, "cell_boundary_values", recording_cell_boundary_values)
+    monkeypatch.setattr(measures, "cell_boundary_values", recording_cell_boundary_values)
     for n in range(1, 9):
         for m in {0, min(2, n - 1)}:
             metrics.corner_walks(ctx, n, m)
     # the prefix level is the deepest one that fits: 6**6 cells from level 6 on
-    assert max(sizes) == 6 ** 6 <= metrics._STREAM_BLOCK_CELLS
+    assert max(sizes) == 6 ** 6 <= measures._STREAM_BLOCK_CELLS
 
 
 # float.hex of corner_walks(ctx, 7, 0) and of the first four cells of
@@ -762,7 +775,7 @@ def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):
         raise AssertionError("level data allocated before the size check")
 
     monkeypatch.setattr(metrics, "build_level", not_reached)
-    monkeypatch.setattr(metrics, "cell_boundary_values", not_reached)
+    monkeypatch.setattr(measures, "cell_boundary_values", not_reached)
     with pytest.raises(ResourceLimitError) as err:
         distance_matrix(sg2_ctx, 0, 20)
     assert err.value.attempted_size == 3 * 3 ** 20
