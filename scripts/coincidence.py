@@ -6,16 +6,17 @@ For each spec, corner pair ``a < b`` and level ``n``, one row of
 feasible,check``.  ``walk`` is the shortest level-``n`` walk, which rises to
 the geodesic distance, and ``gap`` its step from level ``n - 1``
 (``geodesic_converge`` at its default rtol, so the levels may end before
-``--nmax``).  ``lower`` is the certified lower bound on the intrinsic distance
-from the level-``n`` capped-walk certificate (``intrinsic_certificate``),
-``min_slack_rel`` its worst domination slack over the total measure.  A row
-is ``FAIL`` when the certificate is infeasible, when the pair's walk history
-is not monotone, or when ``lower != min(walk, cap)``: both sides read the
-same corner walks reduced up the cell tree and the same skeleton Dijkstra, so
-they agree to the last bit.
+``--nmax``).  ``lower`` is the value of the level-``n`` capped-walk
+certificate (``intrinsic_certificate``): when it is feasible, at most the
+optimum of the level-``n`` intrinsic program, which bounds the intrinsic
+distance from above, not below.  ``min_slack_rel`` is its worst domination
+slack over the total measure.  A row is ``FAIL`` when the certificate is
+infeasible, when the pair's walk history is not monotone, or when ``lower !=
+min(walk, cap)``: both sides read the same corner walks reduced up the cell
+tree and the same skeleton Dijkstra, so they agree to the last bit.
 
 One summary line per pair follows: the last walk, its gap, the
-Aitken-extrapolated walk limit and the deepest certified lower bound.  Any
+Aitken-extrapolated walk limit and the deepest certificate value.  Any
 ``FAIL`` exits 1, as does a level past the address limit (of a certificate or
 of the streamed walks), after the rows computed so far are written.
 
@@ -77,7 +78,7 @@ def coincidence_table(source, nmax, out):
             status = 1
         aitken = "none" if hist.extrapolated is None else f"{hist.extrapolated:.12f}"
         print(f"{hs.spec.name} {a}-{b}: walk {hist.estimate:.12f} (gap "
-              f"{hist.last_gap:.2e}), Aitken {aitken}, certified lower {lower[a, b]}")
+              f"{hist.last_gap:.2e}), Aitken {aitken}, certificate {lower[a, b]}")
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"coincidence_{hs.spec.name.replace(':', '_')}.csv")
     with open(path, "w", newline="\n") as fh:

@@ -237,9 +237,9 @@ def cmd_certify(args) -> int:
         ("to", f"\"{y}\""),
     ]))
     _write(os.path.join(args.out, stem + "_slack.csv"), slack)
-    print(f"certified lower bound {cert.certified_value:.17g} "
-          f"(cap {cert.cap:.17g}, min slack {cert.slack.min_slack:.3e}, "
-          f"feasible={str(cert.feasible).lower()})")
+    print(f"capped profile value {cert.certified_value:.17g}, at most the level-{cert.level} "
+          f"program's optimum if feasible (cap {cert.cap:.17g}, min slack "
+          f"{cert.slack.min_slack:.3e}, feasible={str(cert.feasible).lower()})")
     return EXIT_OK if cert.feasible else EXIT_FAILED_CHECK
 
 

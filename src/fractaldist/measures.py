@@ -125,29 +125,29 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 
-def _prefix_level(k: int, n: int, m: int) -> int:
+def _prefix_level(k: int, n: int) -> int:
     """Level ``p`` whose cells :func:`_cell_blocks` expands to level ``n``:
-    ``max(m, n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
+    ``max(n - s, min(n, s))`` for the deepest ``s`` with ``k**s`` cells at
     most ``_STREAM_BLOCK_CELLS``: the deepest level that fits in one block,
     or ``n`` itself if it does.  Past level ``2 * s`` that is ``n - s``, and
     each prefix cell is expanded by ``s`` letters."""
     s = 0
     while k ** (s + 1) <= _STREAM_BLOCK_CELLS:
         s += 1
-    return max(m, n - s, min(n, s))
+    return max(n - s, min(n, s))
 
 
-def _cell_blocks(hs: HarmonicStructure, h: HarmonicTuple, n: int, m: int = 0):
+def _cell_blocks(hs: HarmonicStructure, h: HarmonicTuple, n: int):
     """Yield ``(start, values)`` blocks of the level-``n`` cells' corner
     values, as :func:`cell_boundary_values`, in cell order.
 
-    The prefix level ``p = _prefix_level(k, n, m)`` is built once, and each
+    The prefix level ``p = _prefix_level(k, n)`` is built once, and each
     block of its cells is expanded by ``n - p`` letters (:func:`child_values`)
     to at most ``_STREAM_BLOCK_CELLS`` cells; the bits do not depend on the
     blocks.  A consumer that keeps working on a block after measuring it
     drops ``values`` first, so that the block is freed before the next one.
     """
-    p = _prefix_level(hs.spec.letters, n, m)
+    p = _prefix_level(hs.spec.letters, n)
     span = hs.spec.letters ** (n - p)
     block = max(1, _STREAM_BLOCK_CELLS // span)
     prefixes = cell_boundary_values(hs, h, p)

@@ -15,15 +15,16 @@ are reduced up the cell tree in the (min, +) semiring by a schedule fixed per
 spec (:func:`reduction_schedule`), and Dijkstra runs on the small graph of
 the references' own level, weighted by those reductions.  Walk lengths
 between fixed references (:func:`geodesic_converge`, :func:`distance_matrix`)
-stop there; their level-``n`` cells are expanded and reduced one block of
-subtrees at a time (:func:`corner_walks`), so they never hold a whole level.
-Profiles and certificates, which need every vertex, keep each level's
-elimination table on the way up and run the elimination backwards on the way
-down (:func:`geodesic_profile`); the path of :func:`discrete_geodesic` is
-walked back over the level's cell edges that its profile holds tight.  They
-hold per-cell numbers of the whole level (corner lengths, measures), never
-its cells' corner values: every reader of those runs over one block of cells
-at a time (:func:`_cell_blocks`).  The
+stop there.  One builder serves every depth (:func:`corner_walks`): the
+level-``n`` cells are expanded and reduced one block of subtrees at a time,
+so the references' walks never hold a whole level.  Profiles and
+certificates, which need every vertex, read the level's unreduced corner
+lengths from it, keep each level's elimination table on the way up and run
+the elimination backwards on the way down (:func:`geodesic_profile`); the
+path of :func:`discrete_geodesic` is walked back over the level's cell edges
+that its profile holds tight.  They hold per-cell numbers of the whole level
+(corner lengths, measures), never its cells' corner values: every reader of
+those runs over one block of cells at a time (:func:`_cell_blocks`).  The
 level-``n`` graph itself (:func:`weighted_level_graph`) is built on demand,
 for the ``graph`` export and the tests' Dijkstra oracles only.
 
@@ -82,10 +83,9 @@ PATH_RTOL = 1e-12
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request: the
-    vertex graph, and the per-cell numbers that the routes read (the cells'
-    embedded corner lengths and the tuple's cell measures), each filled block
-    by block from :func:`_cell_blocks`.  No array holds the corner values of
-    the whole level."""
+    vertex graph, and the tuple's cell measures, filled block by block from
+    :func:`_cell_blocks`.  No array holds the corner values of the whole
+    level; its corner lengths are :func:`corner_walks` at ``m == n``."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
@@ -97,16 +97,6 @@ class LevelData:
         return build_level(self.hs.spec, self.level)
 
     @functools.cached_property
-    def lengths(self) -> np.ndarray:
-        """``[pairs, cells]`` embedded corner lengths, as :func:`_corner_lengths`;
-        read-only, since every caller shares it."""
-        W = None
-        for start, values in _cell_blocks(self.hs, self.h, self.level):
-            W = _put_block(W, _corner_lengths(values), start, self.hs.spec.letters ** self.level)
-        W.flags.writeable = False
-        return W
-
-    @functools.cached_property
     def mu(self) -> np.ndarray:
         """Tuple measures of the level cells, :func:`tuple_cell_measures`."""
         return tuple_cell_measures(self.hs, self.h, self.level)
@@ -114,10 +104,10 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations: whole levels, and the reduced
-    corner walks of :func:`corner_walks` keyed by ``(n, m)``.  Each array is
-    built on its first request.  Reads are thread-safe once built; building
-    is not."""
+    caches used by all distance computations: whole levels, and the corner
+    walks of :func:`corner_walks` keyed by ``(n, m)``, the level's own corner
+    lengths at ``m == n``.  Each array is built on its first request.  Reads
+    are thread-safe once built; building is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
@@ -184,9 +174,8 @@ def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
     per unordered corner pair per cell, weights = embedded Euclidean lengths,
-    a read-only view of :attr:`LevelData.lengths`."""
-    data = ctx.level(n)
-    return (*cell_pairs(data.lg), data.lengths.ravel())
+    a read-only view of ``corner_walks(ctx, n, n)``."""
+    return (*cell_pairs(ctx.level(n).lg), corner_walks(ctx, n, n).ravel())
 
 
 def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
@@ -244,7 +233,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` to every level-``n``
     vertex, without the level-``n`` graph.
 
-    The level's corner lengths (:attr:`LevelData.lengths`, measured one
+    The level's corner lengths (``corner_walks(ctx, n, n)``, measured one
     block of cells at a time and shared with :func:`edge_arrays`) are
     reduced up the cell tree to the level
     ``m`` of ``x`` (:func:`_reduce_cells`), keeping each level's elimination
@@ -259,7 +248,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     lift(ctx.spec, x, n)  # x must name a vertex of level n
     m = x.level
     schedule = ctx.schedule
-    W = data.lengths
+    W = corner_walks(ctx, n, n)
     tables = []
     for _ in range(n - m):
         tables.append(_reduce_cells(W, schedule))
@@ -323,7 +312,7 @@ class ConvergenceHistory:
     """Shortest-walk values over increasing levels with the final estimate.
 
     ``stop_reason`` says why the levels ended short of both ``n_max`` and
-    the tolerance (a level whose prefix cells are past the address limit),
+    the tolerance (a level whose streamed table is past the address limit),
     or is None.
     """
 
@@ -344,10 +333,10 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     Level ``n`` is read from the level-``m`` skeleton weighted by the reduced
     corner walks of level ``n`` (:func:`corner_walks`), by one single-source
     Dijkstra; the level-``n`` vertex graph is never built, nor are its cell
-    values held at once.  Before each level the address count of the prefix
-    level that :func:`corner_walks` holds is checked: the first level past
-    the limit ends the history there, unconverged, with the limit as its
-    ``stop_reason`` (the error is raised when even level ``m`` is past it).
+    values held at once.  The first level whose table :func:`corner_walks`
+    refuses for the address limit ends the history there, unconverged, with
+    the limit as its ``stop_reason`` (the error is raised when even level
+    ``m`` is past it).
     ``n_max`` below ``m``, or an ``rtol`` that is negative or not finite,
     raises ``ValueError``.
 
@@ -366,16 +355,15 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
     converged = False
     stop_reason = None
     for n in range(n0, n_max + 1):
-        p = _prefix_level(ctx.spec.letters, n, n0)
         try:
-            level_address_count(ctx.spec, p)
+            W = corner_walks(ctx, n, n0)
         except ResourceLimitError as exc:
             if not entries:
                 raise
+            p = max(n0, _prefix_level(ctx.spec.letters, n))
             stop_reason = f"level {n} is streamed from level {p}: {exc}"
             break
-        graph = _walk_graph(src_lg, corner_walks(ctx, n, n0))
-        value = float(_dijkstra(graph, src)[dst])
+        value = float(_dijkstra(_walk_graph(src_lg, W), src)[dst])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
             monotone = False
         entries.append((n, value))
@@ -698,33 +686,34 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
 def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     """Shortest level-``n`` walk inside each level-``m`` cell between its
     corners, as a ``[pairs, k**m]`` table (pairs and cells ordered as in
-    :func:`_reduce_cells`), for ``0 <= m <= n``.
+    :func:`_reduce_cells`), for ``0 <= m <= n``: at ``m == n`` the embedded
+    corner-to-corner lengths of the level's cells.
 
-    At ``m == n`` these are the embedded corner-to-corner lengths of the
-    whole level, :attr:`LevelData.lengths`, read-only.  Below, level ``n`` is
-    streamed (:func:`_streamed_walks`), so no more than one block of
-    level-``n`` cells is held; the result is cached on the context, keyed by
-    ``(n, m)``.
+    Built by :func:`_streamed_walks`, which holds no more than one block of
+    level-``n`` cells' values, and cached on the context, keyed by ``(n,
+    m)``; read-only, since every caller shares it.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")
-    if m == n:
-        return ctx.level(n).lengths
     W = ctx._walks.get((n, m))
     if W is None:
         W = ctx._walks[(n, m)] = _streamed_walks(ctx, n, m)
+        W.flags.writeable = False
     return W
 
 
 def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
-    """The reduction of :func:`corner_walks` below the walk level: each
-    block of :func:`_cell_blocks` is measured and reduced back to the prefix
-    level ``p``, into one level-``p`` table; the prefix values are freed
-    with the last block, and that table is reduced to level ``m``."""
+    """The one builder of :func:`corner_walks`.  With ``p = max(m,
+    _prefix_level(k, n))``, whose address count is checked first, each block
+    of :func:`_cell_blocks` is measured and reduced ``n - p`` levels, into
+    one level-``p`` table; the prefix values are freed with the last block,
+    and that table is reduced ``p - m`` more levels.  At ``m == n`` nothing
+    is reduced."""
     k = ctx.spec.letters
-    p = _prefix_level(k, n, m)
+    p = max(m, _prefix_level(k, n))
+    level_address_count(ctx.spec, p)
     W = None
-    for start, values in _cell_blocks(ctx.hs, ctx.h, n, m):
+    for start, values in _cell_blocks(ctx.hs, ctx.h, n):
         part = _corner_lengths(values)
         del values  # not held through the block's reductions
         for _ in range(n - p):

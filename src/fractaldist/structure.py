@@ -43,9 +43,12 @@ def _word_to_str(word: Word) -> str:
 
 
 def encode_word(word: Word, k: int) -> int:
-    """Big-endian cell code of ``word`` over ``k`` letters."""
+    """Big-endian cell code of ``word`` over ``k`` letters; a letter outside
+    ``range(k)`` raises ``ValueError``."""
     code = 0
     for w in word:
+        if not 0 <= w < k:
+            raise ValueError(f"letter {w} of word {tuple(word)} is not in range({k})")
         code = code * k + w
     return code
 

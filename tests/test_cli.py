@@ -240,6 +240,18 @@ def test_certify_feasible_exit_zero(tmp_path):
     assert cert["checked_depth"] == 4
 
 
+def test_certify_stdout_names_the_bound_it_shows(tmp_path, capsys):
+    # a feasible slack table shows the value is at most the level-n
+    # program's optimum, an upper bound of the intrinsic distance
+    code, _ = run_cli(tmp_path, "--spec", "gasket:2", "certify",
+                      "--from=-:0", "--to=-:1", "--level", "3")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("capped profile value ")
+    assert ", at most the level-3 program's optimum if feasible (cap " in out
+    assert "lower" not in out
+
+
 def test_feasibility_tol_flag_reaches_the_check(tmp_path, capsys):
     # the hexagasket's level-3 certificate has a min slack of -1.6e-14:
     # feasible at the default relative tolerance 1e-9, infeasible at 0

@@ -23,7 +23,7 @@ from fractaldist.measures import (
     trace_coefficients,
     tuple_cell_measures,
 )
-from fractaldist.structure import VertexRef, build_level, decode_word
+from fractaldist.structure import VertexRef, build_level, decode_word, encode_word
 
 from conftest import UNIT_TRIANGLE_D, builtin_hs
 
@@ -193,6 +193,22 @@ def test_piecewise_rejects_deep_word(sg2_ctx):
     lg = sg2_ctx.level(2).lg
     with pytest.raises(ValueError):
         piecewise_cell_measure(sg2_ctx.hs, lg, np.zeros(lg.num_vertices), (0, 1, 2))
+
+
+@pytest.mark.parametrize("word", [(0, 5), (0, -1), (3,)])
+def test_out_of_range_letters_are_rejected(sg2_ctx, word):
+    # unchecked, (0, 5) read cell (1, 2), (0, -1) read cell (2, 2), and a
+    # piecewise measure of (3,) summed no cell and read 0.0
+    hs, n = sg2_ctx.hs, 2
+    lg = sg2_ctx.level(n).lg
+    f = np.arange(lg.num_vertices, dtype=float)
+    table = cell_measure_table(hs, sg2_ctx.h, n)
+    slack = check_domination(hs, lg, f, sg2_ctx.level(n).mu)
+    with pytest.raises(ValueError, match=r"not in range\(3\)"):
+        encode_word(word, 3)
+    for read in (table.value, slack.value, lambda w: piecewise_cell_measure(hs, lg, f, w)):
+        with pytest.raises(ValueError):
+            read(word)
 
 
 def test_reharmonization_decreases_cell_measures(sg2_ctx):

@@ -230,8 +230,8 @@ def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
     assert not hist.converged
     assert hist.stop_reason == ("level 7 is streamed from level 5: "
                                 "level 5 needs 729 addresses (limit 243)")
-    # only the references' own level is held whole
-    assert list(ctx._levels) == [0]
+    # no level is held whole, not even the references' own
+    assert list(ctx._levels) == []
     # with no level affordable there is no history to return
     with pytest.raises(ResourceLimitError):
         geodesic_converge(ctx, VertexRef((0,) * 5, 0), CORNER[1], 8)
@@ -264,9 +264,9 @@ def test_geodesic_converge_computes_each_level_once(sg2_hs, monkeypatch):
     for a, b in itertools.combinations(range(3), 2):
         hist = geodesic_converge(ctx, CORNER[a], CORNER[b], 5)
         assert [n for n, _ in hist.entries] == list(range(6))
-    # level 0 is the references' own, read whole; every deeper level is
-    # streamed once and its table shared by the three pairs
-    assert sorted(calls) == list(range(1, 6))
+    # every level, the references' own included, is built once by the one
+    # builder and its table shared by the three pairs
+    assert sorted(calls) == list(range(6))
 
 
 PROFILE_CASES = [("sg2_hs", 7), ("sg3_hs", 5), ("hexa_hs", 5), ("nona_hs", 4),
@@ -607,6 +607,47 @@ def test_corner_walks_stream_matches_whole_level(name, data):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
 
 
+def test_corner_walks_above_the_prefix_level(monkeypatch):
+    # gasket:2 level 7 in blocks of 27 cells streams from level 4; tables of
+    # cells at levels 4..7 reduce each block fewer levels than the stream's
+    n = 7
+    monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 27)
+    assert measures._prefix_level(3, n) == 4
+    ctx = MetricContext(builtin_hs("gasket:2"))
+    whole = [metrics._corner_lengths(cell_boundary_values(ctx.hs, ctx.h, n))]
+    for _ in range(n):
+        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule)[ctx.schedule.corners])
+    calls = []
+    streamed_walks = metrics._streamed_walks
+
+    def counting_streamed_walks(context, n, m):
+        calls.append((n, m))
+        return streamed_walks(context, n, m)
+
+    monkeypatch.setattr(metrics, "_streamed_walks", counting_streamed_walks)
+    for m in range(4, n + 1):
+        for _ in range(2):
+            W = metrics.corner_walks(ctx, n, m)
+            assert np.array_equal(W, whole[n - m]), m
+            assert not W.flags.writeable, m
+    assert calls == [(n, m) for m in range(4, n + 1)]
+
+
+def test_corner_walks_check_the_address_limit_first(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("corner values built before the size check")
+
+    monkeypatch.setattr(metrics, "level_address_count",
+                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    monkeypatch.setattr(measures, "child_values", not_reached)
+    monkeypatch.setattr(measures, "cell_boundary_values", not_reached)
+    ctx = MetricContext(builtin_hs("gasket:2"))
+    for n, m in [(5, 5), (7, 7), (7, 5)]:
+        with pytest.raises(ResourceLimitError):
+            metrics.corner_walks(ctx, n, m)
+    assert ctx._walks == {}
+
+
 # a regular harmonic structure on gasket:2 whose weights differ per letter:
 # unequal boundary conductances, with r solved from the regularity equations
 SKEW_GASKET_D = np.array([[-2.3, 1.0, 1.3], [1.0, -1.8, 0.8], [1.3, 0.8, -2.1]])
@@ -645,7 +686,7 @@ def test_level_tables_match_whole_level(name, data):
         coords[lg.cells[:, a]] = values[:, a]
     with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk), \
             mock.patch.object(measures, "_FORM_BLOCK_CELLS", chunk):
-        assert np.array_equal(ctx.level(n).lengths, lengths)
+        assert np.array_equal(metrics.corner_walks(ctx, n, n), lengths)
         assert np.array_equal(ctx.level(n).mu, mu)
         assert np.array_equal(tuple_cell_measures(hs, ctx.h, n), mu)
         assert np.array_equal(ctx.coords(n), coords)
@@ -661,7 +702,7 @@ def test_full_level_routes_hold_one_block(monkeypatch):
     # 81 prefix cells are built whole, and each block expands one of them
     n, block = 7, 27
     monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", block)
-    prefix_cells = 3 ** measures._prefix_level(3, n, 0)
+    prefix_cells = 3 ** measures._prefix_level(3, n)
     assert prefix_cells == 81 < 3 ** n
     built, expanded, building = [], [], []
 

@@ -32,7 +32,7 @@ def test_coincidence_runs(tmp_path, spec, table):
     rows = (tmp_path / "results" / table).read_text().splitlines()
     assert rows[0] == "pair,level,walk,gap,lower,min_slack_rel,feasible,check"
     # three corner pairs at levels 0..3, each with a feasible certificate
-    # whose lower bound agrees with the streamed walk
+    # whose value agrees with the streamed walk
     assert len(rows) == 1 + 3 * 4
     assert all(row.endswith(",true,ok") for row in rows[1:]), rows
     assert result.stdout.count("Aitken") == 3
