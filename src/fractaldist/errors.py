@@ -14,11 +14,12 @@ class SpecValidationError(FractalDistError, ValueError):
 
 
 class ResourceLimitError(FractalDistError):
-    """A requested level would exceed the configured memory budget."""
+    """A requested ``level`` would exceed the configured memory budget."""
 
-    def __init__(self, message, attempted_size):
+    def __init__(self, message, attempted_size, level):
         super().__init__(message)
         self.attempted_size = attempted_size
+        self.level = level
 
 
 class DegenerateFormError(FractalDistError):

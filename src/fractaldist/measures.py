@@ -4,6 +4,11 @@ The energy measure of a function distributes twice its energy over the set;
 for harmonic pieces the mass of a cell is computable exactly from the cell's
 boundary values.  Measures are represented only through their values on cells
 (additive over subdivision, atomless), never through densities.
+
+Every per-depth table of a cell function is one :class:`CellMeasureTable`,
+built from its deepest depth by subtree sums: the tuple's measures, the
+domination slack ``mu_h - mu_f`` (a signed cell measure, :class:`SlackTable`)
+and the interpolant's measure of one cell (:func:`piecewise_cell_measure`).
 """
 
 from __future__ import annotations
@@ -28,11 +33,9 @@ from .structure import (
 )
 
 FEASIBILITY_RTOL = 1e-9
-# cells whose gathered values and corner_products table cell_form holds at
-# once: a few MiB
-_FORM_BLOCK_CELLS = 1 << 16
-# leaf cells expanded at once by _cell_blocks: a block's [cells, q, N] values
-# and [pairs, cells] lengths stay at a few MiB, whatever the level
+# cells held at once: the leaf cells _cell_blocks expands and the cells whose
+# values and corner_products table cell_form gathers; a block's [cells, q, N]
+# values and [pairs, cells] tables stay at a few MiB, whatever the level
 _STREAM_BLOCK_CELLS = 1 << 16
 
 
@@ -199,8 +202,8 @@ def cell_form(D: np.ndarray, rw: np.ndarray | float, X: np.ndarray,
     at a time.
     """
     energy = np.empty(len(X) if cells is None else len(cells))
-    for s in range(0, len(energy), _FORM_BLOCK_CELLS):
-        part = slice(s, s + _FORM_BLOCK_CELLS)
+    for s in range(0, len(energy), _STREAM_BLOCK_CELLS):
+        part = slice(s, s + _STREAM_BLOCK_CELLS)
         at = part if cells is None else cells[part]
         table = corner_products(X[at], None if Y is None else Y[at])
         table *= D[np.triu_indices(len(D), 1)][:, None]
@@ -241,15 +244,9 @@ def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.nd
 def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
                            f: np.ndarray, word: Word) -> float:
     """Measure of cell ``word`` for the level-``lg.level`` harmonic
-    interpolant of vertex values ``f``; ``len(word) <= lg.level``."""
-    m = len(word)
-    if m > lg.level:
-        raise ValueError(f"cell word of length {m} is deeper than level {lg.level}")
-    k = hs.spec.letters
-    e = cell_energies(hs, lg, f)
-    code = encode_word(word, k)
-    span = k ** (lg.level - m)
-    return float(e[code * span:(code + 1) * span].sum())
+    interpolant of vertex values ``f``: its entry in the table of
+    :func:`cell_energies`; ``len(word) <= lg.level``."""
+    return CellMeasureTable.from_deepest(hs.spec.letters, cell_energies(hs, lg, f)).value(word)
 
 
 def trace_coefficients(hs: HarmonicStructure, word: Word) -> np.ndarray:
@@ -262,77 +259,75 @@ def trace_coefficients(hs: HarmonicStructure, word: Word) -> np.ndarray:
 
 @dataclass
 class CellMeasureTable:
-    """Measures of all cells down to a depth bound; ``values[m]`` is indexed
-    by big-endian cell code at depth ``m``."""
+    """An additive cell function tabulated down to a depth: ``values[m]`` is
+    indexed by big-endian cell code at depth ``m``, and each cell's value is
+    the sum of its ``k`` children's."""
 
     spec_letters: int
     values: list[np.ndarray]
+    column = "value"  # header of the value column in to_csv
+
+    @classmethod
+    def from_deepest(cls, k: int, deepest: np.ndarray, *rest):
+        """The table whose deepest depth is ``deepest``; every coarser depth
+        sums the subtrees below it.  ``rest`` are a subclass's own fields."""
+        values = [deepest]
+        while values[-1].size > 1:
+            values.append(values[-1].reshape(-1, k).sum(axis=1))
+        return cls(k, values[::-1], *rest)
 
     def value(self, word: Word) -> float:
+        depth = len(self.values) - 1
+        if len(word) > depth:
+            raise ValueError(f"cell word of length {len(word)} is deeper than depth {depth}")
         return float(self.values[len(word)][encode_word(word, self.spec_letters)])
 
     def to_csv(self) -> str:
-        return _depth_table_csv("value", self.values, self.spec_letters)
+        """Rows ``word,depth,<column>`` of every cell, by depth and then by
+        code, spelled one block of rows at a time."""
+        k = self.spec_letters
+        blocks = [f"word,depth,{self.column}\n"]
+        for m, vals in enumerate(self.values):
+            for b in row_blocks(vals.size):
+                codes = np.arange(b.start, b.stop)
+                blocks.append(csv_rows(word_column(codes, m, k),
+                                       int_chars(np.full(codes.size, m)), float_chars(vals[b])))
+        return "".join(blocks)
 
 
 @dataclass
-class SlackTable:
-    """Per-cell domination slack ``mu_h(cell) - mu_f(cell)`` down to a depth.
+class SlackTable(CellMeasureTable):
+    """Per-cell domination slack ``mu_h(cell) - mu_f(cell)``, a signed cell
+    measure, down to a depth.
 
     Feasibility means every checked slack is above ``-tol * mu_h(whole set)``;
     only the recorded depth range was checked.
     """
 
-    spec_letters: int
-    slack: list[np.ndarray]
     scale: float
     tolerance: float
+    column = "slack"
+    # its own entry, so that bench/tracer.py can wrap the slack writer alone
+    to_csv = CellMeasureTable.to_csv
+
+    slack = property(lambda self: self.values)
 
     @property
     def checked_depth(self) -> int:
-        return len(self.slack) - 1
+        return len(self.values) - 1
 
     @property
     def min_slack(self) -> float:
-        return min(float(s.min()) for s in self.slack)
+        return min(float(s.min()) for s in self.values)
 
     @property
     def feasible(self) -> bool:
         return self.min_slack >= -self.tolerance * self.scale
 
-    def value(self, word: Word) -> float:
-        return float(self.slack[len(word)][encode_word(word, self.spec_letters)])
-
-    def to_csv(self) -> str:
-        return _depth_table_csv("slack", self.slack, self.spec_letters)
-
-
-def _depth_table_csv(column: str, per_depth: list[np.ndarray], k: int) -> str:
-    """Rows ``word,depth,value`` of every cell, by depth and then by code,
-    spelled one block of rows at a time."""
-    blocks = [f"word,depth,{column}\n"]
-    for m, vals in enumerate(per_depth):
-        for b in row_blocks(vals.size):
-            codes = np.arange(b.start, b.stop)
-            blocks.append(csv_rows(word_column(codes, m, k), int_chars(np.full(codes.size, m)),
-                                   float_chars(vals[b])))
-    return "".join(blocks)
-
-
-def subtree_sums(deepest: np.ndarray, k: int) -> list[np.ndarray]:
-    """Per-depth sums of per-cell values over the cell tree: entry ``m`` is
-    indexed by depth-``m`` cell code, the last entry is ``deepest`` itself."""
-    per_depth = [deepest]
-    while per_depth[-1].size > 1:
-        per_depth.append(per_depth[-1].reshape(-1, k).sum(axis=1))
-    per_depth.reverse()
-    return per_depth
-
 
 def cell_measure_table(hs: HarmonicStructure, h: HarmonicTuple, depth: int) -> CellMeasureTable:
     """Tabulate the tuple's cell measures for all words up to ``depth``."""
-    k = hs.spec.letters
-    return CellMeasureTable(k, subtree_sums(tuple_cell_measures(hs, h, depth), k))
+    return CellMeasureTable.from_deepest(hs.spec.letters, tuple_cell_measures(hs, h, depth))
 
 
 def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
@@ -346,6 +341,5 @@ def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
     piecewise-harmonic interpolant's cell measure; the deepest level is
     computed directly and coarser levels by subtree sums.
     """
-    k = hs.spec.letters
-    slack = subtree_sums(mu - cell_energies(hs, lg, f), k)
-    return SlackTable(k, slack, float(mu.sum()), tolerance)
+    return SlackTable.from_deepest(hs.spec.letters, mu - cell_energies(hs, lg, f),
+                                   float(mu.sum()), tolerance)

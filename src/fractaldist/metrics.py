@@ -9,24 +9,26 @@ limit is the geodesic distance through the embedding.
 Every Dijkstra runs on a walk graph built by :func:`_walk_graph`: the
 vertices of one level, joined inside each of its cells with one weight per
 corner pair.  Where cells share a vertex pair, the shorter weight is kept.
-No distance route builds the level-``n`` graph.  A walk crosses a cell only
-through its corners, so the corner-to-corner lengths of the level-``n`` cells
-are reduced up the cell tree in the (min, +) semiring by a schedule fixed per
-spec (:func:`reduction_schedule`), and Dijkstra runs on the small graph of
-the references' own level, weighted by those reductions.  Walk lengths
-between fixed references (:func:`geodesic_converge`, :func:`distance_matrix`)
-stop there.  One builder serves every depth (:func:`corner_walks`): the
-level-``n`` cells are expanded and reduced one block of subtrees at a time,
-so the references' walks never hold a whole level.  Profiles and
+A walk crosses a cell only through its corners, so the corner-to-corner
+lengths of the level-``n`` cells are reduced up the cell tree in the (min, +)
+semiring by a schedule fixed per spec (:func:`reduction_schedule`), and
+Dijkstra runs on the graph of the references' own level, weighted by those
+reductions.  Walk lengths between fixed references
+(:func:`geodesic_converge`, :func:`distance_matrix`) stop there.  One
+builder serves every depth (:func:`corner_walks`): the level-``n`` cells are
+expanded and reduced one block of subtrees at a time, so the references'
+walks never hold a whole level.  Profiles and
 certificates, which need every vertex, read the level's unreduced corner
 lengths from it, keep each level's elimination table on the way up and run
 the elimination backwards on the way down (:func:`geodesic_profile`); the
 path of :func:`discrete_geodesic` is walked back over the level's cell edges
 that its profile holds tight.  They hold per-cell numbers of the whole level
 (corner lengths, measures), never its cells' corner values: every reader of
-those runs over one block of cells at a time (:func:`_cell_blocks`).  The
-level-``n`` graph itself (:func:`weighted_level_graph`) is built on demand,
-for the ``graph`` export and the tests' Dijkstra oracles only.
+those runs over one block of cells at a time (:func:`_cell_blocks`).  A
+profile from a source on level ``n`` itself (and so a certificate or an
+estimate from one) runs Dijkstra on its skeleton, the whole level-``n`` walk
+graph.  Otherwise the level-``n`` graph (:func:`weighted_level_graph`) is
+built on demand, for the ``graph`` export and the tests' Dijkstra oracles.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -186,9 +188,9 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
     Where cells share a vertex pair the shorter weight is kept: the COO to
     CSR conversion sums such entries, so only when it stores fewer entries
     than doubled edges are the weights reduced again, by their minimum over
-    each sorted key, which is the CSR's own order.  The edge columns, and
-    ``W`` unless a cache holds it, are released before the conversion
-    because the deepest levels run close to the memory budget.
+    each sorted key, which is the CSR's own order.  The edge columns are
+    released before the conversion because the deepest levels run close to
+    the memory budget.
     """
     nv = lg.num_vertices
     u, v = cell_pairs(lg)
@@ -196,7 +198,7 @@ def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
     doubled = sp.coo_matrix((np.concatenate([w, w]),
                              (np.concatenate([u, v]), np.concatenate([v, u]))),
                             shape=(nv, nv))
-    del u, v, w, W
+    del u, v, w
     graph = doubled.tocsr()
     if graph.nnz < doubled.nnz:
         key = doubled.row.astype(np.int64) * nv + doubled.col
@@ -231,7 +233,7 @@ class GeodesicResult:
 
 def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` to every level-``n``
-    vertex, without the level-``n`` graph.
+    vertex, without the level-``n`` graph unless ``x`` lies on level ``n``.
 
     The level's corner lengths (``corner_walks(ctx, n, n)``, measured one
     block of cells at a time and shared with :func:`edge_arrays`) are
@@ -360,8 +362,7 @@ def geodesic_converge(ctx: MetricContext, x: VertexRef, y: VertexRef,
         except ResourceLimitError as exc:
             if not entries:
                 raise
-            p = max(n0, _prefix_level(ctx.spec.letters, n))
-            stop_reason = f"level {n} is streamed from level {p}: {exc}"
+            stop_reason = f"level {n} is streamed from level {exc.level}: {exc}"
             break
         value = float(_dijkstra(_walk_graph(src_lg, W), src)[dst])
         if entries and value < entries[-1][1] - MONOTONE_TOL:
@@ -491,7 +492,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     iterations = 0
     converged = False
     eps = 1e-9 * scale / max(len(mu), 1)
-    slack = cert.slack.slack[-1]  # mu minus the cell energies of f
+    slack = cert.slack.values[-1]  # mu minus the cell energies of f
     for iterations in range(1, budget + 1):
         if iterations > 1:
             slack = mu - cell_form(D, rw, f, cells=cells)

@@ -457,7 +457,7 @@ def level_address_count(spec: FractalSpec, n: int,
     total = spec.boundary * spec.letters ** n
     if total > max_addresses:
         raise ResourceLimitError(
-            f"level {n} needs {total} addresses (limit {max_addresses})", total)
+            f"level {n} needs {total} addresses (limit {max_addresses})", total, n)
     return total
 
 

@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 from fractaldist import measures
 from fractaldist.harmonic import check_dirichlet_matrix
 from fractaldist.measures import (
+    CellMeasureTable,
     HarmonicTuple,
     cell_boundary_values,
+    cell_energies,
     cell_form,
     cell_measure_table,
     check_domination,
@@ -108,7 +110,7 @@ def test_cell_form_independent_of_block(monkeypatch):
     X, Y = rng.normal(size=(2, 1000, 3, 2))
     rw = rng.uniform(0.1, 1.0, size=1000)
     whole = [cell_form(UNIT_TRIANGLE_D, rw, X), cell_form(UNIT_TRIANGLE_D, rw, X, Y)]
-    monkeypatch.setattr(measures, "_FORM_BLOCK_CELLS", 7)
+    monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 7)
     assert np.array_equal(cell_form(UNIT_TRIANGLE_D, rw, X), whole[0])
     assert np.array_equal(cell_form(UNIT_TRIANGLE_D, rw, X, Y), whole[1])
 
@@ -193,6 +195,21 @@ def test_piecewise_rejects_deep_word(sg2_ctx):
     lg = sg2_ctx.level(2).lg
     with pytest.raises(ValueError):
         piecewise_cell_measure(sg2_ctx.hs, lg, np.zeros(lg.num_vertices), (0, 1, 2))
+
+
+def test_words_deeper_than_the_table_are_rejected(sg2_ctx):
+    # unchecked, both tables raised a bare IndexError from their depth list
+    hs, n = sg2_ctx.hs, 2
+    lg = sg2_ctx.level(n).lg
+    f = np.arange(lg.num_vertices, dtype=float)
+    slack = check_domination(hs, lg, f, sg2_ctx.level(n).mu)
+    for table in (cell_measure_table(hs, sg2_ctx.h, n), slack):
+        with pytest.raises(ValueError, match="deeper than depth 2"):
+            table.value((0, 0, 0))
+    # a piecewise measure is the entry of the cell energies' own table
+    energies = CellMeasureTable.from_deepest(3, cell_energies(hs, lg, f))
+    for word in [(), (0,), (1, 2)]:
+        assert piecewise_cell_measure(hs, lg, f, word) == energies.value(word)
 
 
 @pytest.mark.parametrize("word", [(0, 5), (0, -1), (3,)])

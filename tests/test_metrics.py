@@ -684,8 +684,7 @@ def test_level_tables_match_whole_level(name, data):
     coords = np.empty((lg.num_vertices, ctx.n_components))
     for a in range(lg.cells.shape[1]):
         coords[lg.cells[:, a]] = values[:, a]
-    with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk), \
-            mock.patch.object(measures, "_FORM_BLOCK_CELLS", chunk):
+    with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk):
         assert np.array_equal(metrics.corner_walks(ctx, n, n), lengths)
         assert np.array_equal(ctx.level(n).mu, mu)
         assert np.array_equal(tuple_cell_measures(hs, ctx.h, n), mu)
