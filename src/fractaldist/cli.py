@@ -6,8 +6,8 @@ repeated runs of the same configuration are byte-identical.  Tables are
 spelled from arrays one block of rows at a time, in canonical-id order: each
 column becomes an ASCII character table (words, integers, and floats exactly
 as ``%.17g``) and :func:`~fractaldist.structure.csv_rows` joins a block's
-tables into text with no Python call per row.  Profiles and graphs are
-streamed to the file block by block.
+tables into text with no Python call per row.  Every table is streamed to
+the file block by block.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .structure import (
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
-
-_WRITE_SLICE = 1 << 20
 
 _BUILTIN_ALIASES = {
     "hexagasket": ("polygasket", 6),
@@ -131,19 +129,17 @@ def _safe(ref: VertexRef) -> str:
 
 
 def _write(path: str, text: str, lines=()) -> None:
-    """Write ``text`` and then every string of ``lines`` to ``path``.
+    """Write ``text`` (a header, a JSON object or a report) and then every
+    string of ``lines`` (a table's blocks of rows) to ``path``.
 
-    ``text`` goes out in slices of ``_WRITE_SLICE`` characters, so encoding
-    a large table never holds a second full-size copy of it.  The first
-    string of ``lines`` is formatted before the file is created, so a table
-    that cannot be formatted leaves no file behind.
+    The first string of ``lines`` is formatted before the file is created,
+    so a table that cannot be formatted leaves no file behind.
     """
     lines = iter(lines)
     first = next(lines, "")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start:start + _WRITE_SLICE])
+        fh.write(text)
         fh.write(first)
         fh.writelines(lines)
 
@@ -224,8 +220,9 @@ def cmd_certify(args) -> int:
     y = VertexRef.parse(args.to)
     cert = metrics.intrinsic_certificate(ctx, x, y, args.level, cap=args.cap,
                                          tolerance=args.feasibility_tol)
-    slack = cert.slack.to_csv()
     stem = f"certificate_{_safe(x)}_{_safe(y)}_level{args.level}"
+    # the slack table first, so a slack that cannot be spelled leaves no JSON
+    _write(os.path.join(args.out, stem + "_slack.csv"), "", cert.slack.to_csv())
     _write(os.path.join(args.out, stem + ".json"), _json_text([
         ("level", str(cert.level)),
         ("cap", f"{cert.cap:.17g}"),
@@ -236,7 +233,6 @@ def cmd_certify(args) -> int:
         ("from", f"\"{x}\""),
         ("to", f"\"{y}\""),
     ]))
-    _write(os.path.join(args.out, stem + "_slack.csv"), slack)
     print(f"capped profile value {cert.certified_value:.17g}, at most the level-{cert.level} "
           f"program's optimum if feasible (cap {cert.cap:.17g}, min slack "
           f"{cert.slack.min_slack:.3e}, feasible={str(cert.feasible).lower()})")
@@ -277,7 +273,7 @@ def cmd_measures(args) -> int:
     hs = load_structure(args.spec)
     h = parse_tuple(hs, args.tuple)
     table = cell_measure_table(hs, h, args.depth)
-    _write(os.path.join(args.out, f"measures_depth{args.depth}.csv"), table.to_csv())
+    _write(os.path.join(args.out, f"measures_depth{args.depth}.csv"), "", table.to_csv())
     print(f"total measure {table.value(()):.17g} tabulated to depth {args.depth}")
     return EXIT_OK
 

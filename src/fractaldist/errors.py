@@ -21,6 +21,10 @@ class ResourceLimitError(FractalDistError):
         self.attempted_size = attempted_size
         self.level = level
 
+    def __reduce__(self):
+        # ``args`` holds only the message; a pickle rebuilds from all three
+        return type(self), (*self.args, self.attempted_size, self.level)
+
 
 class DegenerateFormError(FractalDistError):
     """A quadratic form could not be traced (singular eliminated block)."""
@@ -36,3 +40,6 @@ class NoEqualWeightStructureError(FractalDistError):
     def __init__(self, message, deviation):
         super().__init__(message)
         self.deviation = deviation
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.deviation)

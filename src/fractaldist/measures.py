@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -282,17 +283,17 @@ class CellMeasureTable:
             raise ValueError(f"cell word of length {len(word)} is deeper than depth {depth}")
         return float(self.values[len(word)][encode_word(word, self.spec_letters)])
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
         """Rows ``word,depth,<column>`` of every cell, by depth and then by
-        code, spelled one block of rows at a time."""
+        code, one string per block of rows.  The header and depth 0 go out
+        with the first block of depth 1, so a word that cannot be spelled
+        raises before the first string is yielded."""
         k = self.spec_letters
-        blocks = [f"word,depth,{self.column}\n"]
-        for m, vals in enumerate(self.values):
-            for b in row_blocks(vals.size):
-                codes = np.arange(b.start, b.stop)
-                blocks.append(csv_rows(word_column(codes, m, k),
-                                       int_chars(np.full(codes.size, m)), float_chars(vals[b])))
-        return "".join(blocks)
+        blocks = (csv_rows(word_column(np.arange(b.start, b.stop), m, k),
+                           int_chars(np.full(b.stop - b.start, m)), float_chars(vals[b]))
+                  for m, vals in enumerate(self.values) for b in row_blocks(vals.size))
+        yield f"word,depth,{self.column}\n" + next(blocks) + next(blocks, "")
+        yield from blocks
 
 
 @dataclass

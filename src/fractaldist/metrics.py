@@ -477,8 +477,6 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     f = cert.values.astype(float)
     best = float(f[y_id] - f[x_id])
     history = [best]
-    if budget <= 0:
-        return EstimateResult(best, cert.certified_value, 0, False, n, history)
 
     D, rw = ctx.hs.D, renorm_products(ctx.hs.r, n)
     u, v = cell_pairs(data.lg)

@@ -163,6 +163,28 @@ def test_unspellable_words_leave_no_file(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, files", [
+    (["measures", "--depth", "0"], ["measures_depth0.csv"]),
+    (["certify", "--from=-:0", "--to=-:1", "--level", "0"],
+     ["certificate_-_0_-_1_level0.json", "certificate_-_0_-_1_level0_slack.csv"]),
+    (["profile", "--from=-:0", "--level", "0"], ["profile_-_0_level0.csv"]),
+    (["embed", "--level", "0"], ["embedding_level0.csv"]),
+], ids=["measures", "certify", "profile", "embed"])
+def test_depth_zero_tables_of_many_cells_are_written(tmp_path, command, files):
+    # at level or depth 0 the only word is the empty one, spelled '-', so
+    # gasket:9's 45 cells do not stop these tables
+    code, out = run_cli(tmp_path, "--spec", "gasket:9", *command)
+    assert code == 0
+    assert sorted(os.listdir(out)) == files
+    for name in files:
+        with open(os.path.join(out, name)) as fh:
+            rows = fh.read().splitlines()
+        assert len(rows) > 1
+        if name.endswith(".csv"):
+            word = rows[0].split(",").index("word")
+            assert {row.split(",")[word] for row in rows[1:]} == {"-"}
+
+
 def test_measures_depth_past_the_limit_fails_first(tmp_path, capsys, monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("cell arrays allocated before the size check")

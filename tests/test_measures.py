@@ -301,7 +301,7 @@ def test_slack_csv_headers(sg2_ctx):
     lg = sg2_ctx.level(1).lg
     f = np.zeros(lg.num_vertices)
     table = check_domination(sg2_ctx.hs, lg, f, sg2_ctx.level(1).mu)
-    text = table.to_csv()
+    text = "".join(table.to_csv())
     lines = text.strip().split("\n")
     assert lines[0] == "word,depth,slack"
     assert lines[1].startswith("-,0,")

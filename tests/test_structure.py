@@ -1,6 +1,7 @@
 """Combinatorics of the builtin generators, level builds, and addressing."""
 
 import itertools
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fractaldist import metrics, structure
 from fractaldist.errors import (
     FractalDistError,
     InvalidParameterError,
+    NoEqualWeightStructureError,
     ResourceLimitError,
     SpecValidationError,
 )
@@ -316,6 +318,20 @@ def test_resource_limit(monkeypatch):
     assert err.value.attempted_size == 3 * 3 ** 8
 
 
+@pytest.mark.parametrize("error, fields", [
+    (ResourceLimitError("level 8 needs 19683 addresses (limit 1000)", 19683, 8),
+     {"attempted_size": 19683, "level": 8}),
+    (NoEqualWeightStructureError("traced one-cell sum deviates by 0.25", 0.25),
+     {"deviation": 0.25}),
+], ids=["resource-limit", "no-equal-weight"])
+def test_errors_survive_a_pickle_round_trip(error, fields):
+    # a worker process hands its error back pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert {name: getattr(copy, name) for name in fields} == fields
+
+
 # ---------------------------------------------------------------------------
 # canonicalize / lift
 # ---------------------------------------------------------------------------
@@ -596,11 +612,27 @@ def test_depth_tables_match_per_row_reference():
     hs = HarmonicStructure.build(generate_spec("gasket", 5))
     table = cell_measure_table(hs, default_tuple(hs), 4)
     assert len(row_blocks(table.values[-1].size)) > 2
-    assert table.to_csv() == reference_depth_table_csv("value", table.values, 15)
+    assert "".join(table.to_csv()) == reference_depth_table_csv("value", table.values, 15)
     rng = np.random.default_rng(23)
     slack = [values_with_edges(rng, 15 ** m) if m > 2 else rng.standard_normal(15 ** m)
              for m in range(5)]
-    assert SlackTable(15, slack, 1.0, 1e-9).to_csv() == reference_depth_table_csv("slack", slack, 15)
+    assert "".join(SlackTable(15, slack, 1.0, 1e-9).to_csv()) == reference_depth_table_csv("slack", slack, 15)
+
+
+def test_depth_tables_stream_by_row_blocks(monkeypatch):
+    # the header and depth 0 go out with depth 1's one block; every later
+    # string is one block of rows
+    monkeypatch.setattr(structure, "_CSV_BLOCK_ROWS", 7)
+    hs = HarmonicStructure.build(generate_spec("gasket", 2))
+    rng = np.random.default_rng(29)
+    tables = [(cell_measure_table(hs, default_tuple(hs), 4), "value"),
+              (SlackTable.from_deepest(3, rng.standard_normal(3 ** 4), 1.0, 1e-9), "slack")]
+    for table, column in tables:
+        text = list(table.to_csv())
+        assert len(text) == 1 + sum(len(row_blocks(3 ** m)) for m in range(2, 5)) > 1
+        assert text[0].count("\n") == 1 + 1 + 3
+        assert all(block.endswith("\n") and block.count("\n") <= 7 for block in text[1:])
+        assert "".join(text) == reference_depth_table_csv(column, table.values, 3)
 
 
 def test_writers_call_format_only_for_exact_fallback_rows(sg5_level4, monkeypatch):
