@@ -123,9 +123,13 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     ``[q, N, k**n]`` array: ``C[:, a, j]`` is contiguous, ``C[w]`` is not.
     The level's address count is checked first (:func:`level_address_count`):
     a negative ``n`` raises ``ValueError`` and an oversized one
-    :class:`ResourceLimitError`, before anything is allocated.
+    :class:`ResourceLimitError`, before anything is allocated; so does a
+    tuple whose rows do not hold one value per boundary point (``ValueError``).
     """
     level_address_count(hs.spec, n)
+    if h.alphas.shape[1] != hs.spec.boundary:
+        raise ValueError(f"tuple rows hold {h.alphas.shape[1]} boundary values, "
+                         f"the spec has {hs.spec.boundary} boundary points")
     return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 

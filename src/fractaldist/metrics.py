@@ -464,8 +464,11 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     Start point is the certificate profile, so the reported value never drops
     below it; values are nondecreasing across iterations.  Constraints are
     imposed on the level-``n`` cells; sums over subtrees then dominate every
-    coarser cell, so depths ``0..n`` are all covered.
+    coarser cell, so depths ``0..n`` are all covered.  A negative ``budget``
+    raises ``ValueError``.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     data = ctx.level(n)
     cells = data.lg.cells
     cert = intrinsic_certificate(ctx, x, y, n)

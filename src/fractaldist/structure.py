@@ -149,6 +149,7 @@ class FractalSpec:
                 raise SpecValidationError(f"glue[{idx}]={(i, a, j, b)} joins a cell to itself")
             if not (0 <= i < k and 0 <= j < k and 0 <= a < q and 0 <= b < q):
                 raise SpecValidationError(f"glue[{idx}]={(i, a, j, b)} out of range")
+        level_address_count(self, 1)  # before the arrays of k cells below
         # the level-1 cell contact graph must be one piece
         glue = np.array(self.glue, dtype=np.int64).reshape(-1, 4)
         ones = np.ones(len(glue))
@@ -233,45 +234,44 @@ def _glue_rules(groups: Iterable[list[tuple[int, int]]]) -> list[tuple[int, int,
     return [(*s, *t) for addrs in groups for s, t in itertools.combinations(addrs, 2)]
 
 
-def _gasket_spec(side: int) -> FractalSpec:
-    """Level-``side`` triangular gasket from exact barycentric coordinates.
-
-    Cells are the upward subtriangles of the side-``side`` subdivision; all
-    contact detection is integer arithmetic, so the glue rules are exact.
-    """
-    if side < 2:
-        raise InvalidParameterError(f"gasket level must be >= 2, got {side}")
-    origins = sorted(
-        ((a, b, side - 1 - a - b) for a in range(side) for b in range(side - a)),
-        key=lambda t: (-t[0], -t[1]),
-    )
-    cells = [((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)) for (a, b, c) in origins]
-    corners = [(side, 0, 0), (0, side, 0), (0, 0, side)]
-    fixed = []
-    for pt in corners:
-        owner = [(i, cell.index(pt)) for i, cell in enumerate(cells) if pt in cell]
-        if len(owner) != 1 or owner[0][1] != corners.index(pt):
-            raise InvalidParameterError(
-                f"gasket:{side} corner {pt} is not corner {corners.index(pt)} "
-                f"of exactly one cell (owners {owner})")
-        fixed.append(owner[0][0])
-    by_point: dict[tuple, list[tuple[int, int]]] = {}
+def _spec_from_corners(name: str, cells: list, boundary: list, key) -> FractalSpec:
+    """Spec of the cells whose corner ``a`` lies at ``cells[i][a]``: corners
+    with one ``key(point)`` are glued, and boundary point ``a`` is fixed by the
+    one cell whose corner ``a`` it is, else :class:`InvalidParameterError`."""
+    groups: dict = {}
     for i, cell in enumerate(cells):
         for a, pt in enumerate(cell):
-            by_point.setdefault(pt, []).append((i, a))
-    rules = _glue_rules(by_point[pt] for pt in sorted(by_point))
-    return FractalSpec(f"gasket:{side}", len(cells), 3, tuple(fixed), _normalize_glue(rules))
+            groups.setdefault(key(pt), []).append((i, a))
+    owners = [groups.get(key(pt), []) for pt in boundary]
+    for a, addrs in enumerate(owners):
+        if [b for _, b in addrs] != [a]:
+            raise InvalidParameterError(f"{name} boundary point {a} is not corner {a} "
+                                        f"of exactly one cell (owners {addrs})")
+    return FractalSpec(name, len(cells), len(boundary), tuple(o[0][0] for o in owners),
+                       _normalize_glue(_glue_rules(groups.values())))
+
+
+def _gasket_spec(side: int) -> FractalSpec:
+    """Level-``side`` triangular gasket: the upward subtriangles of the
+    side-``side`` subdivision, with exact barycentric corners."""
+    if side < 2:
+        raise InvalidParameterError(f"gasket level must be >= 2, got {side}")
+    origins = [(a, b, side - 1 - a - b)
+               for a in reversed(range(side)) for b in reversed(range(side - a))]
+    cells = [((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)) for (a, b, c) in origins]
+    boundary = [(side, 0, 0), (0, side, 0), (0, 0, side)]
+    return _spec_from_corners(f"gasket:{side}", cells, boundary, lambda pt: pt)
 
 
 def _polygasket_spec(n: int) -> FractalSpec:
     """n-cell polygasket (n = 6 or 9) with three boundary points.
 
     The cells sit at the n-th roots of unity with contraction ratio
-    ``2 / (3 + sqrt(3) * cot(pi/n))``, chosen so that adjacent cells touch in
-    exactly one point.  The three cells at angles 0, 2*pi/3 and 4*pi/3 use a
-    rotation-free parametrization so that each fixes its boundary point; the
-    remaining cells keep the rotating parametrization that makes the contact
-    points land on images of the three boundary points.
+    ``2 / (3 + sqrt(3) * cot(pi/n))``, so that adjacent cells touch in exactly
+    one point.  The cells at angles 0, 2*pi/3 and 4*pi/3 do not rotate, so each
+    fixes its boundary point; the others rotate, so that the contact points
+    land on images of the boundary points.  A point's key rounds its
+    coordinates to 1e-9, far below their spacing (``+ 0.0`` folds -0.0).
     """
     if n not in (6, 9):
         raise InvalidParameterError(f"polygasket supports 6 or 9 cells, got {n}")
@@ -279,33 +279,14 @@ def _polygasket_spec(n: int) -> FractalSpec:
     p = [cmath.exp(2j * math.pi * kk / n) for kk in range(n)]
     boundary_cells = (0, n // 3, 2 * n // 3)
     corners = [p[c] for c in boundary_cells]
-
-    def apply_map(cell: int, z: complex) -> complex:
-        if cell in boundary_cells:
-            return beta * z + (1.0 - beta) * p[cell]
-        return p[cell] * (beta * (z - 1.0) + 1.0)
-
-    points: list[tuple[complex, list[tuple[int, int]]]] = []
-    for i in range(n):
-        for a in range(3):
-            z = apply_map(i, corners[a])
-            for zz, addrs in points:
-                if abs(zz - z) < 1e-9:
-                    addrs.append((i, a))
-                    break
-            else:
-                points.append((z, [(i, a)]))
-    rules = _glue_rules(addrs for _, addrs in points)
-    if len(rules) != n:
+    cells = [[beta * z + (1.0 - beta) * p[i] if i in boundary_cells
+              else p[i] * (beta * (z - 1.0) + 1.0) for z in corners] for i in range(n)]
+    spec = _spec_from_corners(f"polygasket:{n}", cells, corners,
+                              lambda z: (round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0))
+    if len(spec.glue) != n:
         raise InvalidParameterError(
-            f"polygasket:{n} contact detection produced {len(rules)} rules, expected {n}")
-    for a in range(3):
-        z = apply_map(boundary_cells[a], corners[a])
-        if abs(z - corners[a]) >= 1e-12:
-            raise InvalidParameterError(
-                f"polygasket:{n} cell {boundary_cells[a]} does not fix boundary "
-                f"point {a} (off by {abs(z - corners[a]):.3g})")
-    return FractalSpec(f"polygasket:{n}", n, 3, boundary_cells, _normalize_glue(rules))
+            f"polygasket:{n} contact detection produced {len(spec.glue)} rules, expected {n}")
+    return spec
 
 
 def generate_spec(kind: str, param: int) -> FractalSpec:

@@ -122,10 +122,11 @@ TUPLE_COMMANDS = [
     ["--spec", "infinite-D.json", "check"],
     ["--spec", "nan-D.json", "check"],
     ["--spec", "circle.json", "check"],
+    ["intrinsic", "--from=-:0", "--to=-:1", "--level", "2", "--budget", "-1"],
 ], ids=["negative-depth", "nan-cap", "infinite-cap", "nan-feasibility-tol",
         "negative-feasibility-tol", "nan-convergence-rtol", "negative-convergence-rtol",
         *[f"{x}-tuple-{command[0]}" for x in ("nan", "inf") for command in TUPLE_COMMANDS],
-        "infinite-D", "nan-D", "coincident-boundary"])
+        "infinite-D", "nan-D", "coincident-boundary", "negative-budget"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, monkeypatch, command):
     # the D spec files hold one non-finite entry in D, and the circle's two
     # cells glue boundary point 0 to boundary point 1; a later --spec
@@ -139,6 +140,19 @@ def test_bad_option_value_is_usage_error(tmp_path, capsys, monkeypatch, command)
         {"name": "circle", "letters": 2, "boundary": 2, "fixed_letters": [0, 1],
          "glue": [[0, 0, 1, 1], [0, 1, 1, 0]]}))
     assert_usage_error(tmp_path, capsys, command)
+
+
+def test_oversized_spec_fails_before_its_arrays(tmp_path, capsys, monkeypatch):
+    # a trillion cells pass every scalar check; the level-1 address count
+    # must stop the spec before its k x k contact graph is built
+    data = {**generate_spec("gasket", 2).to_json_dict(), "letters": 10 ** 12}
+    (tmp_path / "huge.json").write_text(json.dumps(data))
+    monkeypatch.setattr(structure, "connected_components", None)
+    code, out = run_cli(tmp_path, "--spec", str(tmp_path / "huge.json"), "check")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: level 1 needs 3000000000000 addresses (limit 80000000)\n")
+    assert not os.path.exists(out)
 
 
 def assert_usage_error(tmp_path, capsys, command):

@@ -896,6 +896,18 @@ def test_default_cap_exceeds_walk_values(sg2_ctx):
     assert cap > walk
 
 
+@pytest.mark.parametrize("use", [
+    lambda ctx: geodesic_profile(ctx, CORNER[0], 2),
+    lambda ctx: measures.cell_measure_table(ctx.hs, ctx.h, 2),
+], ids=["profile", "measure-table"])
+def test_tuple_of_the_wrong_width_is_rejected(sg2_hs, use):
+    # gasket:2 has three boundary points; rows of four values cannot expand
+    ctx = MetricContext(sg2_hs, HarmonicTuple(np.arange(4.0)[None]))
+    with pytest.raises(ValueError, match="tuple rows hold 4 boundary values, "
+                                         "the spec has 3 boundary points"):
+        use(ctx)
+
+
 def test_estimate_budget_zero_is_certificate(sg2_ctx):
     est = intrinsic_estimate(sg2_ctx, CORNER[0], CORNER[1], 4, budget=0)
     assert est.value == est.certificate_value

@@ -87,7 +87,8 @@ def relabel_cells_by_corner_sets(spec, side):
     return {g: origins_oracle.index(o) for g, o in enumerate(origins_gen)}
 
 
-@pytest.mark.parametrize("side,k_expected,glue_expected", [(2, 3, 3), (3, 6, 9)])
+@pytest.mark.parametrize("side,k_expected,glue_expected",
+                         [(2, 3, 3), (3, 6, 9), (4, 10, 18), (5, 15, 30), (9, 45, 108)])
 def test_gasket_spec_against_exact_oracle(side, k_expected, glue_expected):
     spec = generate_spec("gasket", side)
     assert spec.letters == k_expected == side * (side + 1) // 2
@@ -108,11 +109,25 @@ def test_polygasket_specs():
     hexa = generate_spec("polygasket", 6)
     assert hexa.letters == 6 and hexa.boundary == 3
     assert hexa.fixed_letters == (0, 2, 4)
-    assert len(hexa.glue) == 6
+    assert hexa.glue == ((0, 1, 1, 2), (0, 2, 5, 1), (1, 1, 2, 0), (2, 2, 3, 2),
+                         (3, 1, 4, 1), (4, 0, 5, 2))
     nona = generate_spec("polygasket", 9)
     assert nona.letters == 9 and nona.boundary == 3
     assert nona.fixed_letters == (0, 3, 6)
-    assert len(nona.glue) == 9
+    assert nona.glue == ((0, 1, 1, 2), (0, 2, 8, 1), (1, 1, 2, 2), (2, 1, 3, 0), (3, 2, 4, 2),
+                         (4, 1, 5, 2), (5, 1, 6, 1), (6, 0, 7, 2), (7, 1, 8, 2))
+
+
+@pytest.mark.parametrize("cells, boundary", [
+    ([(0, 1), (1, 2)], [0, 3]),
+    ([(0, 1), (0, 2)], [0, 2]),
+    ([(1, 0), (2, 3)], [0, 3]),
+], ids=["no-corner", "two-owners", "other-corner"])
+def test_spec_from_corners_needs_one_owner_per_boundary_point(cells, boundary):
+    # boundary point a must be corner a of exactly one cell: point 3 is no
+    # corner, point 0 is corner 0 of two cells, point 0 is corner 1, not 0
+    with pytest.raises(InvalidParameterError, match="boundary point"):
+        structure._spec_from_corners("chain", cells, boundary, lambda pt: pt)
 
 
 def test_generate_spec_rejects_bad_parameters():
