@@ -183,15 +183,21 @@ def corner_products(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     X = X.reshape(X.shape[0], X.shape[1], -1)
     Y = X if Y is None else Y.reshape(X.shape)
     a, b = np.triu_indices(X.shape[1], 1)
-    table = np.zeros((len(a), len(X)))
+    # a square is never -0.0 and 0.0 + p is p bit for bit for p >= +0.0, so a
+    # squared row starts as its first component's square; a cross product
+    # may be -0.0, and its rows start at 0.0
+    squared = Y is X and X.shape[2] > 0
+    table = np.empty((len(a), len(X))) if squared else np.zeros((len(a), len(X)))
     dx, dy = np.empty(len(X)), np.empty(len(X))
     for row, i, j in zip(table, a, b):
         # one component at a time, in the order a sum over the component axis
         # adds them; each X[:, i, c] of a child_values array is contiguous
         for c in range(X.shape[2]):
-            np.subtract(X[:, i, c], X[:, j, c], out=dx)
-            dx *= dx if Y is X else np.subtract(Y[:, i, c], Y[:, j, c], out=dy)
-            row += dx
+            d = row if squared and c == 0 else dx
+            np.subtract(X[:, i, c], X[:, j, c], out=d)
+            d *= d if Y is X else np.subtract(Y[:, i, c], Y[:, j, c], out=dy)
+            if d is dx:
+                row += dx
     return table
 
 

@@ -30,6 +30,13 @@ estimate from one) runs Dijkstra on its skeleton, the whole level-``n`` walk
 graph.  Otherwise the level-``n`` graph (:func:`weighted_level_graph`) is
 built on demand, for the ``graph`` export and the tests' Dijkstra oracles.
 
+A :class:`MetricContext` keeps, per level, the vertex graph, the cell
+measures, the corner walks and one profile, the last one computed there.  A
+certificate, estimate or path after a profile from the same source reads that
+profile and runs no second elimination.  The profile, and a certificate's
+values when the cap caps nothing, are shared and read-only; a request from
+another source replaces the level's profile.
+
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
 measure down to depth ``n``, so its increment between two vertices is at
@@ -85,13 +92,21 @@ PATH_RTOL = 1e-12
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request: the
-    vertex graph, and the tuple's cell measures, filled block by block from
-    :func:`_cell_blocks`.  No array holds the corner values of the whole
-    level; its corner lengths are :func:`corner_walks` at ``m == n``."""
+    vertex graph, the tuple's cell measures, filled block by block from
+    :func:`_cell_blocks`, and one distance profile.  No array holds the
+    corner values of the whole level; its corner lengths are
+    :func:`corner_walks` at ``m == n``.
+
+    ``profile`` is the last profile :func:`geodesic_profile` computed on the
+    level, as ``((source level, canonical source vertex id), phi)``, or None.
+    ``phi`` is read-only and shared with every caller, an uncapped
+    :attr:`Certificate.values` included; a request from another source
+    replaces it."""
 
     hs: HarmonicStructure
     h: HarmonicTuple
     level: int
+    profile: tuple[tuple[int, int], np.ndarray] | None = None
 
     @functools.cached_property
     def lg(self) -> LevelGraph:
@@ -106,10 +121,13 @@ class LevelData:
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations: whole levels, and the corner
-    walks of :func:`corner_walks` keyed by ``(n, m)``, the level's own corner
-    lengths at ``m == n``.  Each array is built on its first request.  Reads
-    are thread-safe once built; building is not."""
+    caches used by all distance computations: whole levels (:class:`LevelData`:
+    the vertex graph, the cell measures and the last distance profile), and
+    the corner walks of :func:`corner_walks` keyed by ``(n, m)``, the level's
+    own corner lengths at ``m == n``.  Each array is built on its first
+    request; the profile is replaced by a request from another source.
+    Cached arrays handed out are shared with later callers and read-only.
+    Reads are thread-safe once built; building is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
@@ -138,8 +156,8 @@ class MetricContext:
         return data
 
     def evict(self, n: int | None = None) -> None:
-        """Drop cached level data and the corner walks of walk level ``n``
-        (all levels when ``n`` is None)."""
+        """Drop cached level data, its profile included, and the corner walks
+        of walk level ``n`` (all levels when ``n`` is None)."""
         if n is None:
             self._levels.clear()
             self._walks.clear()
@@ -235,28 +253,46 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` to every level-``n``
     vertex, without the level-``n`` graph unless ``x`` lies on level ``n``.
 
+    The level keeps its last profile (``LevelData.profile``), keyed by the
+    level of ``x`` and its canonical vertex id there, so two addresses of
+    one vertex share it; a repeated request returns that array, which is
+    read-only, since every caller shares it.  A request from another source
+    replaces it.  Otherwise the profile is computed by :func:`_profile`.
+    """
+    data = ctx.level(n)
+    lift(ctx.spec, x, n)  # x must name a vertex of level n
+    src_lg = ctx.level(x.level).lg
+    key = (x.level, src_lg.vertex_id(x))
+    if data.profile is None or data.profile[0] != key:
+        data.profile = None  # the replaced profile is not held while the next is built
+        phi = _profile(ctx, src_lg, key[1], n)
+        phi.flags.writeable = False
+        data.profile = (key, phi)
+    return data.profile[1]
+
+
+def _profile(ctx: MetricContext, src_lg: LevelGraph, src: int, n: int) -> np.ndarray:
+    """The profile of :func:`geodesic_profile` from vertex ``src`` of the
+    source level ``src_lg``.
+
     The level's corner lengths (``corner_walks(ctx, n, n)``, measured one
     block of cells at a time and shared with :func:`edge_arrays`) are
-    reduced up the cell tree to the level
-    ``m`` of ``x`` (:func:`_reduce_cells`), keeping each level's elimination
-    table; Dijkstra runs on the level-``m`` skeleton, as in
+    reduced up the cell tree to the source level ``m``
+    (:func:`_reduce_cells`), keeping each level's elimination table;
+    Dijkstra runs on the level-``m`` skeleton, as in
     :func:`geodesic_converge`; the tables are then run backwards down the
     tree (:func:`_fill_patterns`), and the level-``n`` cells' corners are
     scattered to their vertex ids.  Every vertex is a node of one parent's
     pattern, or a skeleton vertex, and takes its value there; identified
     corners copy it, so the profile does not depend on the scatter order.
     """
-    data = ctx.level(n)
-    lift(ctx.spec, x, n)  # x must name a vertex of level n
-    m = x.level
     schedule = ctx.schedule
     W = corner_walks(ctx, n, n)
     tables = []
-    for _ in range(n - m):
+    for _ in range(n - src_lg.level):
         tables.append(_reduce_cells(W, schedule))
         W = tables[-1][schedule.corners]
-    src_lg = ctx.level(m).lg
-    d = _dijkstra(_walk_graph(src_lg, W), src_lg.vertex_id(x))
+    d = _dijkstra(_walk_graph(src_lg, W), src)
     if not tables:
         return d
     corners = d[src_lg.cells.T]
@@ -266,11 +302,12 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
             break
         # corner a of child j of parent P is node cells[j, a] of P's pattern
         corners = nodes[schedule.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
-    phi = np.empty(data.lg.num_vertices)
+    lg = ctx.level(n).lg
+    phi = np.empty(lg.num_vertices)
     # each node is written once, through its first (child, corner) address;
     # that address's ids over all parents are gathered into one row
     first = np.unique(schedule.cells, return_index=True)[1]
-    ids = data.lg.cells.reshape(-1, schedule.cells.size)[:, first].T.copy()
+    ids = lg.cells.reshape(-1, schedule.cells.size)[:, first].T.copy()
     for node_ids, row in zip(ids, nodes):
         phi[node_ids] = row
     return phi
@@ -401,7 +438,10 @@ class Certificate:
 
     When the slack table is feasible (depths ``0..n``), ``certified_value``
     is at most the optimum of the level-``n`` intrinsic program, which bounds
-    the intrinsic distance from above, not below.
+    the intrinsic distance from above, not below.  When the cap caps nothing,
+    ``values`` is the level's read-only profile itself (``LevelData.profile``),
+    shared with every caller of :func:`geodesic_profile`; otherwise it is a
+    new array, ``np.minimum(profile, cap)``.
     """
 
     level: int
@@ -433,7 +473,8 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
         raise ValueError(f"cap must be finite and nonnegative, got {cap}")
     data = ctx.level(n)
     phi = geodesic_profile(ctx, x, n)
-    f = np.minimum(phi, cap)
+    # uncapped, the certificate shares the level's read-only profile
+    f = phi if phi.max() <= cap else np.minimum(phi, cap)
     slack = check_domination(ctx.hs, data.lg, f, data.mu, tolerance=tolerance)
     x_id = ctx.vertex_id(x, n)
     y_id = ctx.vertex_id(y, n)
@@ -477,7 +518,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     mu = data.mu
     scale = float(mu.sum())
 
-    f = cert.values.astype(float)
+    f = cert.values  # may be the shared profile: f is only ever rebound
     best = float(f[y_id] - f[x_id])
     history = [best]
 

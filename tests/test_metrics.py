@@ -4,6 +4,7 @@ import functools
 import itertools
 import os
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -312,6 +313,7 @@ def test_profile_blocks_identical(request, hs_fixture, n, monkeypatch):
     whole = geodesic_profile(ctx, x, n)
     # two parents per block, up and down the cell tree
     monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * ctx.schedule.slots)
+    ctx.evict(n)  # else the level's kept profile is returned
     assert np.array_equal(geodesic_profile(ctx, x, n), whole)
 
 
@@ -334,8 +336,9 @@ def test_certificate_builds_no_level_graph(sg2_hs, monkeypatch):
         cert = intrinsic_certificate(ctx, x, CORNER[1], n)
         assert cert.feasible
         intrinsic_estimate(ctx, x, CORNER[1], n, budget=2)
-    # one skeleton per call, each on the source's own level
-    assert walked == [0, 0, 2, 2, 3, 3]
+    # one skeleton per source, on its own level: the estimate reads the
+    # certificate's profile
+    assert walked == [0, 2, 3]
     assert "graph" not in vars(ctx.level(n))
 
 
@@ -392,13 +395,62 @@ def test_discrete_geodesic_disconnected_raises(sg2_ctx, monkeypatch):
     profile = metrics.geodesic_profile
 
     def cut_off(ctx, x, n):
-        phi = profile(ctx, x, n)
+        phi = profile(ctx, x, n).copy()  # the kept profile is read-only
         phi[ctx.vertex_id(CORNER[1], n)] = np.inf
         return phi
 
     monkeypatch.setattr(metrics, "geodesic_profile", cut_off)
     with pytest.raises(FractalDistError, match="disconnected"):
         discrete_geodesic(sg2_ctx, CORNER[0], CORNER[1], 3)
+
+
+def test_level_keeps_its_last_profile(sg2_hs, monkeypatch):
+    ctx = MetricContext(sg2_hs)
+    n = 5
+    x, y = CORNER[0], CORNER[1]
+    phi = geodesic_profile(ctx, x, n)
+    assert not phi.flags.writeable
+    assert phi.tobytes() == geodesic_profile(MetricContext(sg2_hs), x, n).tobytes()
+    eliminated = []
+    for name in ("_reduce_cells", "_fill_patterns"):
+        def counted(*args, step=getattr(metrics, name), name=name):
+            eliminated.append(name)
+            return step(*args)
+        monkeypatch.setattr(metrics, name, counted)
+
+    # every reader from the same source reads the kept profile
+    cert = intrinsic_certificate(ctx, x, y, n)
+    intrinsic_estimate(ctx, x, y, n, budget=2)
+    discrete_geodesic(ctx, x, y, n)
+    assert eliminated == []
+    key, kept = ctx.level(n).profile
+    assert key == (0, 0) and kept is phi and cert.values is phi
+    small = 0.5 * float(phi.max())
+    capped = intrinsic_certificate(ctx, x, y, n, cap=small).values
+    assert capped.tobytes() == np.minimum(phi, small).tobytes()
+    assert ctx.level(n).profile[1] is phi and phi.max() > small
+
+    # two addresses of one vertex share the slot; another source replaces it
+    a, b = VertexRef((0,), 1), VertexRef((1,), 0)
+    assert ctx.vertex_id(a, 1) == ctx.vertex_id(b, 1)
+    replaced = weakref.ref(phi)
+    del phi, kept, cert
+    phi_a = geodesic_profile(ctx, a, n)
+    assert eliminated and replaced() is None  # at most one profile per level
+    del eliminated[:]
+    assert geodesic_profile(ctx, b, n) is phi_a and eliminated == []
+    # the same point named on another level is another source
+    c = VertexRef((0, 1), 1)  # 0:1 lifted to level 2
+    assert ctx.vertex_id(c, 2) == ctx.vertex_id(a, 2)
+    phi_c = geodesic_profile(ctx, c, n)
+    assert phi_c is not phi_a and eliminated
+    assert ctx.level(n).profile[0] == (2, ctx.vertex_id(c, 2))
+    assert np.allclose(phi_c, phi_a, rtol=0.0, atol=1e-12)
+    del eliminated[:]
+    ctx.evict(n)
+    assert ctx.level(n).profile is None
+    geodesic_profile(ctx, c, n)
+    assert eliminated
 
 
 def test_quasi_metric_laws(sg2_ctx):
