@@ -126,7 +126,8 @@ class MetricContext:
     the corner walks of :func:`corner_walks` keyed by ``(n, m)``, the level's
     own corner lengths at ``m == n``.  Each array is built on its first
     request; the profile is replaced by a request from another source.
-    Cached arrays handed out are shared with later callers and read-only.
+    The corner walks and the profile are shared with later callers and
+    read-only.
     Reads are thread-safe once built; building is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
