@@ -50,7 +50,6 @@ from .structure import (
     LevelGraph,
     VertexRef,
     build_level,
-    canonicalize,
     generate_spec,
     lift,
 )

@@ -27,7 +27,8 @@ class ResourceLimitError(FractalDistError):
 
 
 class DegenerateFormError(FractalDistError):
-    """A quadratic form could not be traced (singular eliminated block)."""
+    """A quadratic form could not be traced (a zero pivot, or a coefficient
+    past the largest double)."""
 
 
 class BrokenStructureError(FractalDistError):

@@ -5,12 +5,19 @@ quadratic form is ``E0(u) = (-D u, u)``) and per-cell contraction weights
 ``r``.  The level-``n`` energy sums ``E0`` over all level-``n`` cells with
 weights ``1/r_w``; the pair is *regular* when all ``r_i`` lie in (0, 1) and
 eliminating the interior of the one-cell network reproduces ``E0`` exactly.
+
+``D`` is read through its conductances ``D_ab``, ``a < b``.  One exact
+(``Fraction``) Kron reduction of the level-1 network over the spec's
+reduction schedule gives the traced form, and with it ``r`` and the
+regularity residual, and the extension matrices ``A_i``; each stored number
+is rounded once.  The fixed-point eigendata are computed in floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,20 +107,6 @@ def check_dirichlet_matrix(D: np.ndarray) -> ConditionReport:
     return rep
 
 
-def assemble_discrete_form(D: np.ndarray, cell_weights: np.ndarray,
-                           lg: LevelGraph) -> sp.csr_matrix:
-    """Sparse matrix of the level form: sum over cells of ``w_c * (-D)``
-    scattered along each cell's corner tuple."""
-    q = lg.spec.boundary
-    cells = lg.cells
-    nc = cells.shape[0]
-    w = np.broadcast_to(np.asarray(cell_weights, dtype=float), (nc,))
-    rows = np.repeat(cells, q, axis=1).ravel()
-    cols = np.tile(cells, (1, q)).ravel()
-    data = (w[:, None] * (-D).ravel()[None, :]).ravel()
-    return sp.csr_matrix((data, (rows, cols)), shape=(lg.num_vertices, lg.num_vertices))
-
-
 def renorm_products(r: np.ndarray, n: int) -> np.ndarray:
     """Weight products ``r_w`` of all level-``n`` cells in big-endian cell-code order."""
     r = np.asarray(r, dtype=float)
@@ -123,90 +116,104 @@ def renorm_products(r: np.ndarray, n: int) -> np.ndarray:
     return rw
 
 
-def trace_form(M, keep: np.ndarray):
-    """Eliminate all vertices outside ``keep`` from the quadratic form ``M``.
+# exact copies of float arrays, elementwise
+_exact = np.frompyfunc(Fraction, 1, 1)
 
-    Returns ``(traced, extend)`` where ``traced`` is the dense form on the kept
-    vertices, in ``keep`` order, realizing the minimum over extensions, and
-    ``extend(values)`` reconstructs the minimizing extension on all vertices,
-    placing ``values`` at ``keep``.
-    """
-    M = sp.csr_matrix(M).toarray()
-    n = M.shape[0]
-    keep = np.asarray(keep, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[keep] = True
-    elim = np.nonzero(~mask)[0]
-    B = M[np.ix_(keep, elim)]
+
+def _rounded(x: Fraction) -> float:
+    """``x`` rounded once to the nearest double, ``+-inf`` past the largest."""
     try:
-        solve_C = np.linalg.solve(M[np.ix_(elim, elim)], B.T)
-    except np.linalg.LinAlgError:
-        raise DegenerateFormError("eliminated block is singular") from None
-    if not np.all(np.isfinite(solve_C)):
-        raise DegenerateFormError("eliminated block is numerically singular")
-    traced = M[np.ix_(keep, keep)] - B @ solve_C
-
-    def extend(values):
-        v = np.asarray(values, dtype=float)
-        u = np.empty(n)
-        u[keep] = v
-        u[elim] = -solve_C @ v
-        return u
-
-    return traced, extend
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
-def _one_cell_trace(spec: FractalSpec, D: np.ndarray, cell_weights):
-    """The level-1 form of ``spec`` (cell ``i`` weighted by ``cell_weights[i]``)
-    traced onto its boundary: ``(lg, traced, extend)``, as :func:`trace_form`."""
-    lg = build_level(spec, 1)
-    M = assemble_discrete_form(D, cell_weights, lg)
-    return (lg, *trace_form(M, np.array(lg.boundary_ids)))
+def _eliminate(spec: FractalSpec, D: np.ndarray, r=None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact traced form and extension matrices of the level-1 network with
+    conductances ``D_ab / r_i`` (``a < b``; unit weights when ``r`` is None).
+
+    Over the spec's schedule, eliminating ``x`` adds ``G[u, x] G[x, v] /
+    deg(x)`` to each pair of its remaining neighbours; the way down sets
+    ``u(x) = sum_u G[x, u] u(u) / deg(x)`` in reverse order, once per
+    boundary unit vector.  The matrices are rounded once; a zero ``deg`` or
+    an entry past the largest double raises :class:`DegenerateFormError`.
+    """
+    schedule = spec.schedule
+    q = spec.boundary
+    pairs = _exact(np.asarray(D, dtype=float)[np.triu_indices(q, 1)])
+    scale = [1] * spec.letters if r is None else 1 / _exact(np.asarray(r, dtype=float))
+    G = [0] * schedule.slots  # 0 stays on corner pairs no interior node joins
+    for dst, first, p, i in schedule.seeds:
+        c = pairs[p] * scale[i]
+        G[dst] = c if first else G[dst] + c
+    degrees = []
+    for x, _, slots, writes in schedule.eliminated:
+        degrees.append(sum(G[t] for t in slots))
+        if degrees[-1] == 0:
+            raise DegenerateFormError(f"level-1 node {x} has zero total conductance")
+        for dst, first, u, v in schedule.updates[writes.start:writes.stop]:
+            c = G[u] * G[v] / degrees[-1]
+            G[dst] = c if first else G[dst] + c
+    traced = np.zeros((q, q), dtype=object)
+    traced[np.triu_indices(q, 1)] = [-G[t] for t in schedule.corners]
+    traced += traced.T
+    traced[np.diag_indices(q)] = -traced.sum(axis=1)
+    U = np.empty((len(schedule.boundary_ids) + len(degrees), q), dtype=object)
+    U[schedule.boundary_ids] = np.eye(q, dtype=int)
+    for (x, around, slots, _), deg in zip(reversed(schedule.eliminated), reversed(degrees)):
+        U[x] = sum(G[t] * U[u] for u, t in zip(around, slots)) / deg
+    try:
+        return traced, U[schedule.cells].astype(float)
+    except OverflowError:
+        raise DegenerateFormError("an extension matrix entry does not round to a "
+                                  "finite double") from None
 
 
 def check_regularity(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> float:
     """Max-norm residual between the traced one-level form and ``-D``."""
-    _, traced, _ = _one_cell_trace(spec, D, 1.0 / np.asarray(r, dtype=float))
-    return float(np.max(np.abs(traced - (-np.asarray(D, dtype=float)))))
+    traced, _ = _eliminate(spec, D, r)
+    return _rounded(np.abs(traced + _exact(np.asarray(D, dtype=float))).max())
+
+
+def _equal_weight(spec: FractalSpec, D: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`solve_equal_renormalization`'s weight, and the extension
+    matrices of its unit-weight elimination."""
+    D = np.asarray(D, dtype=float)
+    if float(np.sum(D * D)) == 0.0:
+        raise DegenerateFormError("boundary matrix is zero to working precision")
+    traced, A = _eliminate(spec, D)
+    target = -_exact(D)
+    c = (traced * target).sum() / (target * target).sum()
+    dev, r = _rounded(np.abs(traced - c * target).max()), _rounded(c)
+    scale = float(np.max(np.abs(D)))
+    if dev > PROPORTIONALITY_RTOL * max(scale, abs(r) * scale):
+        raise NoEqualWeightStructureError(
+            f"traced one-cell sum is not proportional to the boundary form "
+            f"(deviation {dev:.3e})", dev)
+    if not 0.0 < r < 1.0:
+        raise NoEqualWeightStructureError(f"proportionality constant {r} outside (0, 1)", dev)
+    return r, A
 
 
 def solve_equal_renormalization(spec: FractalSpec, D: np.ndarray) -> float:
     """Single contraction weight making ``(D, r)`` regular, if one exists.
 
-    Traces the unweighted one-cell sum onto the boundary; when the result is a
-    positive multiple ``c`` of ``-D`` the weight is ``r = c``.  Raises
+    When the exactly traced unweighted one-cell sum is a positive multiple
+    ``c`` of ``-D``, the weight is ``c`` rounded once.  Raises
     :class:`NoEqualWeightStructureError` otherwise, reporting the deviation
     from proportionality.
     """
-    D = np.asarray(D, dtype=float)
-    _, traced, _ = _one_cell_trace(spec, D, np.ones(spec.letters))
-    target = -D
-    num = float(np.sum(traced * target))
-    den = float(np.sum(target * target))
-    if den == 0.0:
-        raise DegenerateFormError("boundary matrix is zero to working precision")
-    c = num / den
-    dev = float(np.max(np.abs(traced - c * target)))
-    scale = float(np.max(np.abs(target)))
-    if dev > PROPORTIONALITY_RTOL * max(scale, abs(c) * scale):
-        raise NoEqualWeightStructureError(
-            f"traced one-cell sum is not proportional to the boundary form "
-            f"(deviation {dev:.3e})", dev)
-    if not 0.0 < c < 1.0:
-        raise NoEqualWeightStructureError(
-            f"proportionality constant {c} outside (0, 1)", dev)
-    return c
+    return _equal_weight(spec, D)[0]
 
 
 def extension_matrices(spec: FractalSpec, D: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-cell matrices mapping boundary values to sub-cell boundary values.
 
     Row ``b`` of ``A[i]`` holds the coefficients expressing the value of the
-    energy-minimizing one-level extension at corner ``b`` of cell ``i``.
+    energy-minimizing one-level extension at corner ``b`` of cell ``i``,
+    exact and then rounded once.
     """
-    lg, _, extend = _one_cell_trace(spec, D, 1.0 / np.asarray(r, dtype=float))
-    U = np.stack([extend(col) for col in np.eye(spec.boundary).T], axis=1)  # [nv, q]
-    return np.stack([U[lg.cells[i]] for i in range(spec.letters)])
+    return _eliminate(spec, D, r)[1]
 
 
 def fixed_point_eigendata(spec: FractalSpec, D: np.ndarray, r: np.ndarray,
@@ -268,12 +275,17 @@ class HarmonicStructure:
             raise ValueError(f"boundary matrix shape {D.shape} does not match q={spec.boundary}")
         if not np.all(np.isfinite(D)):
             raise ValueError("boundary matrix entries must be finite")
+        check_dirichlet_matrix(D)  # the ValueError of an asymmetric D
+        A = None
         if r is None:
-            r = solve_equal_renormalization(spec, D)
+            # equal weights scale every conductance alike, so the unit-weight
+            # elimination of the solve gives the A_i as well
+            r, A = _equal_weight(spec, D)
         r_arr = np.broadcast_to(np.asarray(r, dtype=float), (spec.letters,)).copy()
         if not (np.all(r_arr > 0.0) and np.all(r_arr < 1.0)):
             raise ValueError(f"contraction weights must lie in (0, 1), got {r_arr}")
-        A = extension_matrices(spec, D, r_arr)
+        if A is None:
+            A = extension_matrices(spec, D, r_arr)
         eigen = {}
         for letter in spec.fixed_letters:
             eigen[letter] = fixed_point_eigendata(spec, D, r_arr, A, letter)

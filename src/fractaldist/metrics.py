@@ -11,9 +11,9 @@ vertices of one level, joined inside each of its cells with one weight per
 corner pair.  Where cells share a vertex pair, the shorter weight is kept.
 A walk crosses a cell only through its corners, so the corner-to-corner
 lengths of the level-``n`` cells are reduced up the cell tree in the (min, +)
-semiring by a schedule fixed per spec (:func:`reduction_schedule`), and
-Dijkstra runs on the graph of the references' own level, weighted by those
-reductions.  Walk lengths between fixed references
+semiring by a schedule fixed per spec (:func:`structure.reduction_schedule`),
+and Dijkstra runs on the graph of the references' own level, weighted by
+those reductions.  Walk lengths between fixed references
 (:func:`geodesic_converge`, :func:`distance_matrix`) stop there.  One
 builder serves every depth (:func:`corner_walks`): the level-``n`` cells are
 expanded and reduced one block of subtrees at a time, so the references'
@@ -74,6 +74,7 @@ from .measures import (
 from .structure import (
     FractalSpec,
     LevelGraph,
+    ReductionSchedule,
     VertexRef,
     build_level,
     cell_pairs,
@@ -141,10 +142,11 @@ class MetricContext:
     def n_components(self) -> int:
         return self.h.n_components
 
-    @functools.cached_property
+    @property
     def schedule(self) -> ReductionSchedule:
-        """Min-plus elimination schedule of the spec's level-1 pattern."""
-        return reduction_schedule(build_level(self.spec, 1))
+        """Elimination schedule of the spec's level-1 pattern, cached on the
+        spec (:attr:`FractalSpec.schedule`)."""
+        return self.spec.schedule
 
     def level(self, n: int) -> LevelData:
         """Cache entry of level ``n``; its address count is checked before
@@ -577,93 +579,6 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
 _REDUCE_BLOCK_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True)
-class ReductionSchedule:
-    """Min-plus elimination of the level-1 glue pattern, fixed per spec.
-
-    ``cells`` is the pattern's ``[k, q]`` vertex table and ``boundary_ids``
-    its corner nodes.  A *slot* holds the weight of one unordered pair of
-    pattern nodes.  ``seeds`` lists ``(slot, first, pair, child)``: the slot
-    takes the smallest child weight laid on it.  ``updates`` lists ``(dst,
-    first, a, b)`` row operations ``G[dst] = min(G[dst], G[a] + G[b])``.
-    ``first`` marks each slot's one first write, a copy of the seed or the
-    sum ``G[a] + G[b]``, and no write reads a slot before it, so no table is
-    filled with the semiring's zero.  ``corners`` holds the slot of each
-    parent corner pair in ``np.triu_indices(q, 1)`` order.  ``eliminated``
-    lists the interior nodes in elimination order, each as ``(node,
-    neighbours, slots)``: the neighbours it had when it was eliminated (at
-    least one) and the slots of its pairs with them, which
-    :func:`_fill_patterns` reads to run the elimination backwards.
-    """
-
-    cells: np.ndarray
-    boundary_ids: np.ndarray
-    slots: int
-    seeds: tuple[tuple[int, bool, int, int], ...]
-    updates: tuple[tuple[int, bool, int, int], ...]
-    corners: np.ndarray
-    eliminated: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-
-
-def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
-    """Eliminate the interior nodes of the level-1 ``pattern`` in min-degree
-    order, then close its ``q`` corners.
-
-    Eliminating node ``x`` relaxes every pair ``(u, v)`` of its remaining
-    neighbours through ``x``; closing the corners does the same with each
-    corner as the pivot, since a route between two parent corners may pass
-    through a third.  Both are Floyd-Warshall steps restricted to the pairs
-    that carry a finite weight, so the result is the closure of the pattern
-    on its corners for any nonnegative child weights.
-    """
-    q = pattern.spec.boundary
-    a, b = np.triu_indices(q, 1)
-    slot: dict[tuple[int, int], int] = {}
-
-    def slot_of(u: int, v: int) -> int:
-        return slot.setdefault((min(u, v), max(u, v)), len(slot))
-
-    def write(u: int, v: int) -> tuple[int, bool]:
-        fresh = len(slot)  # a slot is numbered at its first write
-        return slot_of(u, v), len(slot) > fresh
-
-    adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.num_vertices)}
-    seeds = []
-    for i, cell in enumerate(pattern.cells.tolist()):
-        for p, (ca, cb) in enumerate(zip(a, b)):
-            u, v = cell[ca], cell[cb]
-            seeds.append((*write(u, v), p, i))
-            adjacent[u].add(v)
-            adjacent[v].add(u)
-
-    updates = []
-
-    def pivot(x: int, alive: set[int]) -> list[int]:
-        around = sorted(adjacent[x] & alive)
-        for s, u in enumerate(around):
-            for v in around[s + 1:]:
-                updates.append((*write(u, v), slot_of(u, x), slot_of(x, v)))
-                adjacent[u].add(v)
-                adjacent[v].add(u)
-        return around
-
-    corners = [int(c) for c in pattern.boundary_ids]
-    alive = set(adjacent)
-    interior = alive - set(corners)
-    eliminated = []
-    while interior:
-        x = min(interior, key=lambda v: (len(adjacent[v] & alive), v))
-        interior.remove(x)
-        alive.remove(x)
-        around = pivot(x, alive)
-        eliminated.append((x, tuple(around), tuple(slot_of(x, u) for u in around)))
-    for c in corners:
-        pivot(c, alive - {c})
-    closed = np.array([slot_of(corners[i], corners[j]) for i, j in zip(a, b)])
-    return ReductionSchedule(pattern.cells, np.array(corners), len(slot), tuple(seeds),
-                             tuple(updates), closed, tuple(eliminated))
-
-
 def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     """One step up the cell tree in the (min, +) semiring.
 
@@ -720,7 +635,7 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
     for s in range(0, P, block):
         part, g = nodes[:, s:s + block], G[:, s:s + block]
         via = np.empty(part.shape[1])
-        for x, around, slots in reversed(schedule.eliminated):
+        for x, around, slots, _ in reversed(schedule.eliminated):
             np.add(part[around[0]], g[slots[0]], out=part[x])
             for u, t in zip(around[1:], slots[1:]):
                 np.minimum(part[x], np.add(part[u], g[t], out=via), out=part[x])

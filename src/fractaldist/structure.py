@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import itertools
 import math
 import string
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -179,6 +179,12 @@ class FractalSpec:
         object.__setattr__(self, "_glue_roots", np.stack(
             [*np.divmod(moved, q), *np.divmod(root[moved], q)], axis=1))
 
+    @functools.cached_property
+    def schedule(self) -> "ReductionSchedule":
+        """Elimination schedule of the level-1 pattern
+        (:func:`reduction_schedule`), built on first read."""
+        return reduction_schedule(build_level(self, 1))
+
     def label_of_fixed_cell(self, letter: int) -> int:
         try:
             return self.fixed_letters.index(letter)
@@ -322,39 +328,6 @@ def lift(spec: FractalSpec, ref: VertexRef, n: int) -> VertexRef:
     return VertexRef(ref.word + tail, ref.label)
 
 
-def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
-    """Lexicographically smallest address equivalent to ``ref`` at its level.
-
-    Two addresses of the same level are equivalent when they are connected by
-    rewriting steps of the form ``u + (i,) + (f_a,)*r : a  ->  u + (j,) + (f_b,)*r : b``
-    for a glue rule identifying corner ``a`` of cell ``i`` with corner ``b``
-    of cell ``j``.
-    """
-    check_ref(spec, ref)
-    by_corner: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, a, j, b in spec.glue:
-        by_corner.setdefault((i, a), []).append((j, b))
-        by_corner.setdefault((j, b), []).append((i, a))
-    n = ref.level
-    start = (ref.word, ref.label)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        word, label = queue.popleft()
-        fa = spec.fixed_letters[label]
-        for m in range(n - 1, -1, -1):
-            # positions m+1..n-1 must all carry the fixed letter of `label`
-            if m < n - 1 and word[m + 1] != fa:
-                break
-            for j, b in by_corner.get((word[m], label), ()):
-                cand = (word[:m] + (j,) + (spec.fixed_letters[b],) * (n - 1 - m), b)
-                if cand not in seen:
-                    seen.add(cand)
-                    queue.append(cand)
-    word, label = min(seen)
-    return VertexRef(word, label)
-
-
 # ---------------------------------------------------------------------------
 # level graphs
 # ---------------------------------------------------------------------------
@@ -425,20 +398,19 @@ class LevelGraph:
         return finer.cells[codes, labels].astype(np.int64)
 
 
-def level_address_count(spec: FractalSpec, n: int,
-                        max_addresses: int = DEFAULT_MAX_ADDRESSES) -> int:
+def level_address_count(spec: FractalSpec, n: int) -> int:
     """Number ``q * k**n`` of ``(cell, corner)`` addresses at level ``n``.
 
     Checked before anything of the level is allocated: a negative level
-    raises ``ValueError`` and a count above ``max_addresses`` raises
+    raises ``ValueError`` and a count above ``DEFAULT_MAX_ADDRESSES`` raises
     :class:`ResourceLimitError`.
     """
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     total = spec.boundary * spec.letters ** n
-    if total > max_addresses:
+    if total > DEFAULT_MAX_ADDRESSES:
         raise ResourceLimitError(
-            f"level {n} needs {total} addresses (limit {max_addresses})", total, n)
+            f"level {n} needs {total} addresses (limit {DEFAULT_MAX_ADDRESSES})", total, n)
     return total
 
 
@@ -488,6 +460,101 @@ def cell_pairs(lg: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
     in ``np.triu_indices(q, 1)`` order."""
     a, b = np.triu_indices(lg.cells.shape[1], 1)
     return lg.cells.T[a].ravel(), lg.cells.T[b].ravel()
+
+
+@dataclass(frozen=True)
+class ReductionSchedule:
+    """Elimination of the level-1 glue pattern, fixed per spec, that
+    ``metrics`` runs in the (min, +) semiring and ``harmonic`` in (+, x).
+
+    ``cells`` is the pattern's ``[k, q]`` vertex table and ``boundary_ids``
+    its corner nodes.  A *slot* holds the weight of one unordered pair of
+    pattern nodes.  ``seeds`` lists ``(slot, first, pair, child)``: the
+    weight of corner pair ``pair`` of child ``child`` goes to the slot.
+    ``updates`` lists ``(dst, first, a, b)``: ``G[a]`` and ``G[b]`` combine
+    into ``G[dst]``.  ``first`` marks each slot's one first write, an
+    assignment, and no write reads a slot before it.  ``corners`` holds the
+    slot of each parent corner pair in ``np.triu_indices(q, 1)`` order.
+    ``eliminated`` lists the interior nodes in elimination order as ``(node,
+    neighbours, slots, writes)``: the neighbours it had when it was
+    eliminated (at least one), the slots of its pairs with them, and the
+    ``range`` of the updates it wrote.  The updates after the last range
+    close the corners.
+    """
+
+    cells: np.ndarray
+    boundary_ids: np.ndarray
+    slots: int
+    seeds: tuple[tuple[int, bool, int, int], ...]
+    updates: tuple[tuple[int, bool, int, int], ...]
+    corners: np.ndarray
+    eliminated: tuple[tuple[int, tuple[int, ...], tuple[int, ...], range], ...]
+
+
+def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
+    """Eliminate the interior nodes of the level-1 ``pattern`` in min-degree
+    order (fewest remaining neighbours, then smallest id, popped from a heap
+    that skips outdated entries), then close its ``q`` corners.
+
+    Eliminating node ``x`` relaxes every pair ``(u, v)`` of its remaining
+    neighbours through ``x``; closing the corners does the same with each
+    corner as the pivot, since a route between two parent corners may pass
+    through a third.  In (min, +) both are Floyd-Warshall steps restricted
+    to the pairs that carry a finite weight, so the result is the closure of
+    the pattern on its corners for any nonnegative child weights.
+    """
+    a, b = np.triu_indices(pattern.spec.boundary, 1)
+    slot: dict[tuple[int, int], int] = {}
+
+    def slot_of(u: int, v: int) -> int:
+        return slot.setdefault((min(u, v), max(u, v)), len(slot))
+
+    def write(u: int, v: int) -> tuple[int, bool]:
+        fresh = len(slot)  # a slot is numbered at its first write
+        return slot_of(u, v), len(slot) > fresh
+
+    # each node's neighbours that are not eliminated
+    adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.num_vertices)}
+    seeds = []
+    for i, cell in enumerate(pattern.cells.tolist()):
+        for p, (ca, cb) in enumerate(zip(a, b)):
+            u, v = cell[ca], cell[cb]
+            seeds.append((*write(u, v), p, i))
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+
+    updates = []
+
+    def pivot(x: int) -> list[int]:
+        around = sorted(adjacent[x])
+        for s, u in enumerate(around):
+            for v in around[s + 1:]:
+                updates.append((*write(u, v), slot_of(u, x), slot_of(x, v)))
+                adjacent[u].add(v)
+                adjacent[v].add(u)
+        return around
+
+    corners = list(pattern.boundary_ids)
+    interior = set(adjacent) - set(corners)
+    heap = sorted((len(adjacent[v]), v) for v in interior)
+    eliminated = []
+    while heap:
+        degree, x = heapq.heappop(heap)
+        if x in interior and degree == len(adjacent[x]):
+            interior.remove(x)
+            for u in adjacent[x]:
+                adjacent[u].remove(x)
+            start = len(updates)
+            around = pivot(x)
+            eliminated.append((x, tuple(around), tuple(slot_of(x, u) for u in around),
+                               range(start, len(updates))))
+            for u in interior.intersection(around):
+                heapq.heappush(heap, (len(adjacent[u]), u))
+    for c in corners:
+        pivot(c)
+    closed = np.array([slot_of(corners[i], corners[j]) for i, j in zip(a, b)])
+    return ReductionSchedule(pattern.cells, np.array(corners), len(slot), tuple(seeds),
+                             tuple(updates), closed, tuple(eliminated))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,26 @@ settings.load_profile("fixed")
 UNIT_TRIANGLE_D = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
 
 
+# a regular harmonic structure on gasket:2 whose weights differ per letter:
+# unequal boundary conductances, with r solved from the regularity equations
+SKEW_GASKET_D = np.array([[-2.3, 1.0, 1.3], [1.0, -1.8, 0.8], [1.3, 0.8, -2.1]])
+SKEW_GASKET_R = [0.5628759129987719, 0.6349840097708683, 0.6006323915912465]
+
+
+def chain_spec(cells):
+    """``cells`` cells in a row with two boundary points: corner 1 of cell
+    ``i`` is corner 0 of cell ``i + 1``."""
+    return FractalSpec(f"chain:{cells}", cells, 2, (0, cells - 1),
+                       tuple((i, 1, i + 1, 0) for i in range(cells - 1)))
+
+
+def tetra_spec():
+    """Four cells, each glued to every other at one corner: four boundary
+    points."""
+    rules = tuple((i, a, a, i) for i in range(4) for a in range(i + 1, 4))
+    return FractalSpec("tetra", 4, 4, (0, 1, 2, 3), rules)
+
+
 @functools.cache
 def builtin_hs(name):
     """Harmonic structure of a builtin spec named ``kind:param``."""

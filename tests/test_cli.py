@@ -11,7 +11,7 @@ from fractaldist import measures, metrics, structure
 from fractaldist.cli import load_spec, main, parse_builtin, save_spec
 from fractaldist.errors import SpecValidationError
 from fractaldist.harmonic import HarmonicStructure
-from fractaldist.structure import generate_spec, level_address_count
+from fractaldist.structure import generate_spec
 
 from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D, shortest_pair_weights
 
@@ -82,6 +82,18 @@ def test_check_failing_matrix_exits_one(tmp_path, sg2_spec):
     # kernel condition fails and the check must exit with status 1
     code = main(["--spec", str(path), "--out", str(tmp_path / "o"), "check"])
     assert code == 1
+
+
+def test_asymmetric_spec_file_matrix_is_a_usage_error(tmp_path, capsys, sg2_spec):
+    # D is read through its conductances D_ab, a < b, so an asymmetric D is
+    # rejected before the structure is built
+    path = tmp_path / "asymD.json"
+    D = np.array([[-2.0, 1.0, 1.0], [1.5, -2.0, 0.5], [1.0, 1.0, -2.0]])
+    save_spec(str(path), sg2_spec, D=D, r=np.full(3, 0.6))
+    code, out = run_cli(tmp_path, "--spec", str(path), "profile", "--from=-:0", "--level", "2")
+    assert code == 2
+    assert "boundary matrix not symmetric" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -203,8 +215,7 @@ def test_measures_depth_past_the_limit_fails_first(tmp_path, capsys, monkeypatch
     def not_reached(*args, **kwargs):
         raise AssertionError("cell arrays allocated before the size check")
 
-    monkeypatch.setattr(measures, "level_address_count",
-                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 3))
+    monkeypatch.setattr(structure, "DEFAULT_MAX_ADDRESSES", 3 * 3 ** 3)
     monkeypatch.setattr(measures, "renorm_products", not_reached)
     code, out = run_cli(tmp_path, "--spec", "gasket:2", "measures", "--depth", "4")
     assert code == 1
@@ -232,8 +243,7 @@ def test_convergence_rtol_flag_stops_the_levels(tmp_path, capsys):
 
 
 def test_geodesic_keeps_levels_computed_before_the_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(metrics, "level_address_count",
-                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    monkeypatch.setattr(structure, "DEFAULT_MAX_ADDRESSES", 3 * 3 ** 4)
     # nine leaf cells per block: level n is streamed from level n - 2
     monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 9)
     code, out = run_cli(tmp_path, "--spec", "gasket:2", "geodesic",
@@ -289,7 +299,7 @@ def test_certify_stdout_names_the_bound_it_shows(tmp_path, capsys):
 
 
 def test_feasibility_tol_flag_reaches_the_check(tmp_path, capsys):
-    # the hexagasket's level-3 certificate has a min slack of -1.6e-14:
+    # the hexagasket's level-3 certificate has a min slack of -1.7e-16:
     # feasible at the default relative tolerance 1e-9, infeasible at 0
     command = ["certify", "--from=-:0", "--to=-:1", "--level", "3"]
     assert run_cli(tmp_path, "--spec", "hexagasket", *command)[0] == 0

@@ -1,5 +1,7 @@
 """Boundary form checks, regularity, extension matrices, eigendata."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from fractaldist.errors import (
 )
 from fractaldist.harmonic import (
     HarmonicStructure,
-    assemble_discrete_form,
     check_dirichlet_matrix,
     check_regularity,
     check_structure_conditions,
@@ -27,11 +28,18 @@ from fractaldist.harmonic import (
     renorm_products,
     separation_constant,
     solve_equal_renormalization,
-    trace_form,
 )
 from fractaldist.structure import FractalSpec, VertexRef, build_level, generate_spec
 
-from conftest import UNIT_TRIANGLE_D
+from conftest import (
+    SKEW_GASKET_D,
+    SKEW_GASKET_R,
+    TWO_CORNER_FIELDS,
+    UNIT_TRIANGLE_D,
+    chain_spec,
+    tetra_spec,
+)
+from oracles import assemble_discrete_form
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +71,7 @@ def test_nonsymmetric_rejected():
 
 
 # ---------------------------------------------------------------------------
-# discrete forms and the traced boundary form
+# discrete forms
 # ---------------------------------------------------------------------------
 
 def test_level_zero_form_is_boundary_form(sg2_spec, sg2_hs):
@@ -96,62 +104,6 @@ def test_restriction_energies_nondecreasing(sg2_spec, sg2_hs):
             u = rng.normal(size=fine.num_vertices)
             uc = u[emb]
             assert uc @ Mc @ uc <= u @ Mf @ u + 1e-10
-
-
-def sg2_extension_oracle(alpha):
-    """Closed-form one-level minimizer on the three-cell gasket: each midpoint
-    takes (2 * adjacent + 2 * adjacent + opposite) / 5."""
-    a0, a1, a2 = alpha
-    return {
-        (0, 1): (2 * a0 + 2 * a1 + a2) / 5,
-        (0, 2): (2 * a0 + 2 * a2 + a1) / 5,
-        (1, 2): (2 * a1 + 2 * a2 + a0) / 5,
-    }
-
-
-def test_trace_identity_against_closed_form(sg2_spec):
-    lg = build_level(sg2_spec, 1)
-    M = assemble_discrete_form(UNIT_TRIANGLE_D, np.full(3, 1 / Fraction(3, 5)), lg)
-    traced, extend = trace_form(M, np.array(lg.boundary_ids))
-    assert np.max(np.abs(traced - (-UNIT_TRIANGLE_D))) < 1e-12
-    rng = np.random.default_rng(2)
-    alpha = rng.normal(size=3)
-    u = extend(alpha)
-    oracle = sg2_extension_oracle(alpha)
-    for (a, b), val in oracle.items():
-        mid = lg.vertex_id(VertexRef((a,), b))
-        assert np.isclose(u[mid], val, atol=1e-12)
-    # the traced value at the boundary equals the full form at the minimizer
-    assert np.isclose(alpha @ traced @ alpha, u @ M @ u, atol=1e-12)
-
-
-def test_trace_keep_all_is_identity(sg2_spec, sg2_hs):
-    lg = build_level(sg2_spec, 1)
-    M = assemble_discrete_form(sg2_hs.D, np.ones(3), lg)
-    traced, extend = trace_form(M, np.arange(lg.num_vertices))
-    assert np.max(np.abs(traced - M.toarray())) < 1e-14
-    v = np.arange(float(lg.num_vertices))
-    assert np.array_equal(extend(v), v)
-
-
-def test_trace_keep_permutation_of_all_vertices(sg2_spec, sg2_hs):
-    # with nothing to eliminate, the traced form is M in keep order, and the
-    # extension places the values at keep
-    lg = build_level(sg2_spec, 1)
-    M = assemble_discrete_form(sg2_hs.D, np.ones(3), lg)
-    keep = np.random.default_rng(5).permutation(lg.num_vertices)
-    assert not np.array_equal(keep, np.arange(lg.num_vertices))
-    traced, extend = trace_form(M, keep)
-    assert np.array_equal(traced, M.toarray()[np.ix_(keep, keep)])
-    v = np.arange(float(lg.num_vertices))
-    assert np.array_equal(extend(v)[keep], v)
-
-
-def test_trace_degenerate_block():
-    import scipy.sparse as sp
-    M = sp.csr_matrix(np.zeros((3, 3)))
-    with pytest.raises(DegenerateFormError):
-        trace_form(M, np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +142,118 @@ def test_equal_weight_solve_of_an_underflowing_form(sg2_spec):
     # measurable size to be proportional to
     with pytest.raises(DegenerateFormError):
         solve_equal_renormalization(sg2_spec, 1e-200 * default_boundary_matrix(3))
+
+
+def dense_exact_trace(spec, D, r):
+    """Independent reference for the exact build: the level-1 Laplacian of
+    the conductances ``D_ab / r_i`` (unit weights when ``r`` is None) as a
+    dense ``Fraction`` matrix, its interior solved by Gauss-Jordan with row
+    pivoting.  Returns the traced ``q x q`` form and each level-1 vertex's
+    values of the ``q`` boundary unit vectors' harmonic extensions."""
+    lg = build_level(spec, 1)
+    q, nv = spec.boundary, lg.num_vertices
+    L = [[Fraction(0)] * nv for _ in range(nv)]
+    for i, cell in enumerate(lg.cells.tolist()):
+        weight = 1 if r is None else 1 / Fraction(r[i])
+        for a, b in itertools.combinations(range(q), 2):
+            c = Fraction(D[a][b]) * weight
+            u, v = cell[a], cell[b]
+            L[u][v] -= c
+            L[v][u] -= c
+            L[u][u] += c
+            L[v][v] += c
+    B = list(lg.boundary_ids)
+    interior = [x for x in range(nv) if x not in B]
+    n = len(interior)
+    rows = [[L[x][y] for y in interior + B] for x in interior]
+    for col in range(n):
+        pivot = next(k for k in range(col, n) if rows[k][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for k in range(n):
+            if k != col and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[col])]
+    values = {b: [Fraction(int(a == j)) for a in range(q)] for j, b in enumerate(B)}
+    for k, x in enumerate(interior):
+        values[x] = [-rows[k][n + a] for a in range(q)]
+    traced = [[L[B[a]][B[b]] + sum(L[B[a]][x] * values[x][b] for x in interior)
+               for b in range(q)] for a in range(q)]
+    return traced, values
+
+
+def exact_case(name):
+    """``(spec, D, r)`` of one structure checked against the dense reference."""
+    if name == "skew gasket:2":
+        return generate_spec("gasket", 2), SKEW_GASKET_D, SKEW_GASKET_R
+    if name == "two-corner":
+        return FractalSpec.from_json_dict(TWO_CORNER_FIELDS), default_boundary_matrix(3), None
+    kind, param = name.split(":")
+    return generate_spec(kind, int(param)), default_boundary_matrix(3), None
+
+
+@pytest.mark.parametrize("name", [f"gasket:{side}" for side in range(2, 10)]
+                         + ["polygasket:6", "polygasket:9", "skew gasket:2", "two-corner"])
+def test_structure_is_the_exact_elimination_rounded_once(name):
+    spec, D, r = exact_case(name)
+    hs = HarmonicStructure.build(spec, D, r)
+    traced, values = dense_exact_trace(spec, D.tolist(), r)
+    q = spec.boundary
+    if r is None:
+        # the unit-weight trace is c * (-D), and r is c rounded once
+        c = traced[0][1] / -Fraction(D[0, 1])
+        assert all(traced[a][b] == -c * Fraction(D[a, b]) for a in range(q) for b in range(q))
+        assert np.array_equal(hs.r, np.full(spec.letters, float(c)))
+        # equal weights 1 / r scale every conductance alike
+        traced = [[t / Fraction(hs.r[0]) for t in row] for row in traced]
+    residual = max(abs(traced[a][b] + Fraction(D[a, b])) for a in range(q) for b in range(q))
+    assert check_regularity(spec, D, hs.r) == float(residual)
+    A = [[[float(v) for v in values[x]] for x in cell] for cell in build_level(spec, 1).cells.tolist()]
+    assert np.array_equal(hs.A, A)
+
+
+def test_builtin_and_spec_file_build_the_same_structure(sg2_spec):
+    # README's spec file: the unit-conductance gasket:2 with r = 0.6 per cell
+    from_file = HarmonicStructure.build(sg2_spec, UNIT_TRIANGLE_D, [0.6, 0.6, 0.6])
+    builtin = HarmonicStructure.build(sg2_spec)
+    assert np.array_equal(builtin.r, from_file.r)
+    assert np.array_equal(builtin.A, from_file.A)
+
+
+def test_long_chain_builds_in_little_memory():
+    # a chain of n unit conductances in series traces to 1/n; no array of
+    # the level-1 vertices squared is allocated
+    spec = chain_spec(4000)
+    tracemalloc.start()
+    try:
+        hs = HarmonicStructure.build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(hs.r == 1 / 4000)
+    assert peak < 32 * 2 ** 20
+
+
+def test_asymmetric_matrix_rejected_before_the_elimination(sg2_spec):
+    D = np.array([[-2.0, 1.0, 1.0], [1.5, -2.0, 0.5], [1.0, 1.0, -2.0]])
+    for r in (None, np.full(3, 0.6)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            HarmonicStructure.build(sg2_spec, D, r)
+
+
+def test_zero_pivot_is_a_degenerate_form(sg2_spec):
+    # -I has no conductances: every interior node has total conductance 0
+    with pytest.raises(DegenerateFormError):
+        HarmonicStructure.build(sg2_spec, -np.eye(3), np.full(3, 0.6))
+
+
+def test_unrepresentable_extension_entry_is_a_degenerate_form(sg2_spec):
+    # with D_12 = 0 the interior block of these conductances is singular;
+    # the smallest subnormal makes it invertible, with extension
+    # coefficients of order 2**1074, past the largest double
+    D = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 5e-324], [1.0, 5e-324, 0.0]])
+    with pytest.raises(DegenerateFormError, match="finite double"):
+        HarmonicStructure.build(sg2_spec, D, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +387,12 @@ _SG2_CACHE = [HarmonicStructure.build(generate_spec("gasket", 2), UNIT_TRIANGLE_
 def test_energy_identity_boundary_vs_extension(sg2_spec, sg2_hs):
     lg = build_level(sg2_spec, 1)
     M = assemble_discrete_form(sg2_hs.D, 1.0 / renorm_products(sg2_hs.r, lg.level), lg)
-    _, extend = trace_form(M, np.array(lg.boundary_ids))
     rng = np.random.default_rng(4)
     for _ in range(10):
         alpha = rng.normal(size=3)
-        u = extend(alpha)
+        u = np.empty(lg.num_vertices)
+        for i, cell in enumerate(lg.cells):
+            u[cell] = sg2_hs.A[i] @ alpha
         assert abs(alpha @ (-UNIT_TRIANGLE_D) @ alpha - u @ M @ u) < 1e-10
 
 
@@ -339,11 +404,6 @@ def test_conditions_pass_on_builtins(sg2_hs, hexa_hs, nona_hs, sg3_hs):
     for hs in (sg2_hs, hexa_hs, nona_hs, sg3_hs):
         rep = check_structure_conditions(hs)
         assert rep.ok, "\n".join(rep.lines())
-
-
-def tetra_spec():
-    rules = tuple((i, a, a, i) for i in range(4) for a in range(i + 1, 4))
-    return FractalSpec("tetra", 4, 4, (0, 1, 2, 3), rules)
 
 
 def test_four_point_boundary_fails_b1():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from fractaldist import measures, metrics
+from fractaldist import measures, metrics, structure
 from fractaldist.errors import FractalDistError, ResourceLimitError
 from fractaldist.harmonic import HarmonicStructure, renorm_products
 from fractaldist.measures import (
@@ -42,11 +42,17 @@ from fractaldist.structure import (
     VertexRef,
     build_level,
     generate_spec,
-    level_address_count,
+    reduction_schedule,
     vertex_rows,
 )
 
-from conftest import TWO_CORNER_FIELDS, UNIT_TRIANGLE_D, builtin_hs
+from conftest import (
+    SKEW_GASKET_D,
+    SKEW_GASKET_R,
+    TWO_CORNER_FIELDS,
+    UNIT_TRIANGLE_D,
+    builtin_hs,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -221,8 +227,7 @@ def test_geodesic_converge_matches_level_dijkstra(request, hs_fixture, alphas, r
 
 def test_geodesic_converge_stops_at_address_limit(sg2_hs, monkeypatch):
     full = geodesic_converge(MetricContext(sg2_hs), CORNER[0], CORNER[1], 8, rtol=0.0)
-    monkeypatch.setattr(metrics, "level_address_count",
-                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    monkeypatch.setattr(structure, "DEFAULT_MAX_ADDRESSES", 3 * 3 ** 4)
     # nine leaf cells per block: level n is streamed from level n - 2
     monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 9)
     ctx = MetricContext(sg2_hs)
@@ -544,7 +549,7 @@ def test_reduce_cells_matches_floyd_warshall(name, data):
     W = data.draw(arrays(np.float64, (q * (q - 1) // 2, k * parents),
                          elements=st.floats(0.0, 1e3, allow_subnormal=False)))
     ref = floyd_warshall_reduce(W, pattern)
-    schedule = metrics.reduction_schedule(pattern)
+    schedule = reduction_schedule(pattern)
     got = metrics._reduce_cells(W, schedule)[schedule.corners]
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
@@ -553,7 +558,7 @@ def test_reduce_cells_matches_floyd_warshall(name, data):
 def test_reduce_cells_blocks_identical(name, monkeypatch):
     pattern = PATTERNS[name]
     k, q = pattern.spec.letters, pattern.spec.boundary
-    schedule = metrics.reduction_schedule(pattern)
+    schedule = reduction_schedule(pattern)
     W = np.random.default_rng(7).exponential(size=(q * (q - 1) // 2, k * 7))
     whole = metrics._reduce_cells(W, schedule)
     assert whole.shape == (schedule.slots, 7)
@@ -565,7 +570,7 @@ def test_reduce_cells_blocks_identical(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(PATTERNS))
 def test_schedule_writes_each_slot_first_once(name):
-    schedule = metrics.reduction_schedule(PATTERNS[name])
+    schedule = reduction_schedule(PATTERNS[name])
     written = set()
     for dst, first, _, _ in schedule.seeds:
         assert first == (dst not in written)
@@ -578,7 +583,7 @@ def test_schedule_writes_each_slot_first_once(name):
     firsts = [dst for dst, first, *_ in schedule.seeds + schedule.updates if first]
     assert sorted(firsts) == list(range(schedule.slots))
     assert set(schedule.corners.tolist()) <= written
-    for _, around, slots in schedule.eliminated:
+    for _, around, slots, _ in schedule.eliminated:
         # _fill_patterns writes each node from its first neighbour
         assert len(around) >= 1 and len(slots) == len(around)
         assert set(slots) <= written
@@ -607,7 +612,7 @@ def gather_fill_patterns(corner_d, G, schedule):
     block = max(1, metrics._REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, G.shape[1], block):
         part, g = nodes[:, s:s + block], G[:, s:s + block]
-        for x, around, slots in reversed(schedule.eliminated):
+        for x, around, slots, _ in reversed(schedule.eliminated):
             part[x] = np.min(part[np.asarray(around)] + g[np.asarray(slots)], axis=0)
     return nodes
 
@@ -617,7 +622,7 @@ def gather_fill_patterns(corner_d, G, schedule):
 def test_elimination_matches_inf_and_gather_references(name, blocked, monkeypatch):
     pattern = PATTERNS[name]
     k, q = pattern.spec.letters, pattern.spec.boundary
-    schedule = metrics.reduction_schedule(pattern)
+    schedule = reduction_schedule(pattern)
     if blocked:  # two parents per block: seven parents run in four blocks
         monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * schedule.slots)
     # other weights when blocked, so that no table freed by the unblocked
@@ -689,8 +694,7 @@ def test_corner_walks_check_the_address_limit_first(monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("corner values built before the size check")
 
-    monkeypatch.setattr(metrics, "level_address_count",
-                        lambda spec, n: level_address_count(spec, n, 3 * 3 ** 4))
+    monkeypatch.setattr(structure, "DEFAULT_MAX_ADDRESSES", 3 * 3 ** 4)
     monkeypatch.setattr(measures, "child_values", not_reached)
     monkeypatch.setattr(measures, "cell_boundary_values", not_reached)
     ctx = MetricContext(builtin_hs("gasket:2"))
@@ -698,12 +702,6 @@ def test_corner_walks_check_the_address_limit_first(monkeypatch):
         with pytest.raises(ResourceLimitError):
             metrics.corner_walks(ctx, n, m)
     assert ctx._walks == {}
-
-
-# a regular harmonic structure on gasket:2 whose weights differ per letter:
-# unequal boundary conductances, with r solved from the regularity equations
-SKEW_GASKET_D = np.array([[-2.3, 1.0, 1.3], [1.0, -1.8, 0.8], [1.3, 0.8, -2.1]])
-SKEW_GASKET_R = [0.5628759129987719, 0.6349840097708683, 0.6006323915912465]
 
 
 @functools.cache
@@ -830,26 +828,27 @@ def test_streamed_prefix_table_fits_in_one_block(monkeypatch):
 
 
 # float.hex of corner_walks(ctx, 7, 0) and of the first four cells of
-# corner_walks(ctx, 7, 2) with the default tuple, frozen from the per-letter
-# child_values products and the n - s prefix level: a change to the
-# expansion or to the stream that moves one bit fails here
+# corner_walks(ctx, 7, 2) with the default tuple, frozen from the exact,
+# once-rounded A_i, the per-letter child_values products and the n - s
+# prefix level: a change to the structure, the expansion or the stream that
+# moves one bit fails here
 CORNER_WALKS_7 = {
     "gasket:3": (
-        ["0x1.c6413c74d4e08p-1", "0x1.c6413c74d4e07p-1", "0x1.c6413c74d4e08p-1"],
-        [["0x1.3b6bd5e9051b2p-3", "0x1.69f4d28b84146p-4", "0x1.0f5ae1aaecc3ap-4",
-          "0x1.703ba3dc5518bp-4"],
-         ["0x1.3b6bd5e9051b0p-3", "0x1.0f5ae1aaecc36p-4", "0x1.69f4d28b8414bp-4",
-          "0x1.3f93289a77408p-5"],
-         ["0x1.23a10881052aap-4", "0x1.3d8b22c3b1f89p-5", "0x1.3d8b22c3b1f8ap-5",
-          "0x1.1b068f7e79f49p-4"]]),
+        ["0x1.c6413c74d4e07p-1", "0x1.c6413c74d4e08p-1", "0x1.c6413c74d4e08p-1"],
+        [["0x1.3b6bd5e9051b0p-3", "0x1.69f4d28b84149p-4", "0x1.0f5ae1aaecc3ap-4",
+          "0x1.703ba3dc5518dp-4"],
+         ["0x1.3b6bd5e9051b0p-3", "0x1.0f5ae1aaecc3ap-4", "0x1.69f4d28b84149p-4",
+          "0x1.3f93289a773f2p-5"],
+         ["0x1.23a10881052d4p-4", "0x1.3d8b22c3b1fcdp-5", "0x1.3d8b22c3b1fbap-5",
+          "0x1.1b068f7e79f4bp-4"]]),
     "polygasket:6": (
-        ["0x1.b6930f38746bap-1", "0x1.b6930f38746bbp-1", "0x1.b6930f38746bbp-1"],
-        [["0x1.0adaf85e95f8ep-3", "0x1.6928737db7dc2p-5", "0x1.7da97538586eep-4",
+        ["0x1.b6930f38746b9p-1", "0x1.b6930f38746bap-1", "0x1.b6930f38746bbp-1"],
+        [["0x1.0adaf85e95f8ep-3", "0x1.6928737db7dbap-5", "0x1.7da97538586f0p-4",
+          "0x1.110281f60c413p-6"],
+         ["0x1.0adaf85e95f8ep-3", "0x1.6928737db7dbap-5", "0x1.90a938753365ep-5",
           "0x1.110281f60c414p-6"],
-         ["0x1.0adaf85e95f8fp-3", "0x1.6928737db7dbap-5", "0x1.90a9387533659p-5",
-          "0x1.110281f60c415p-6"],
-         ["0x1.6c1033972e41ep-5", "0x1.6928737db7dbdp-4", "0x1.fb318b077d4a0p-5",
-          "0x1.110281f60c414p-5"]]),
+         ["0x1.6c1033972e40ep-5", "0x1.6928737db7db9p-4", "0x1.fb318b077d49ap-5",
+          "0x1.110281f60c413p-5"]]),
 }
 
 

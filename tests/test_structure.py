@@ -25,20 +25,20 @@ from fractaldist.structure import (
     VertexRef,
     _word_to_str,
     build_level,
-    canonicalize,
     csv_rows,
     decode_word,
     encode_word,
     float_chars,
     generate_spec,
-    level_address_count,
     lift,
+    reduction_schedule,
     row_blocks,
     vertex_rows,
     word_column,
 )
 
-from conftest import shortest_pair_weights
+from conftest import TWO_CORNER_FIELDS, chain_spec, shortest_pair_weights, tetra_spec
+from oracles import canonicalize
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +324,58 @@ def test_repeated_and_reversed_glue_rules_build_the_same_levels(sg3_spec):
         assert lg.boundary_ids == expected.boundary_ids
 
 
+def full_scan_order(pattern):
+    """Reference for the schedule's elimination order: every step scans all
+    interior nodes for the fewest remaining neighbours, the smallest id
+    among ties.  Returns ``(node, neighbours)`` per step."""
+    adjacent = {v: set() for v in range(pattern.num_vertices)}
+    for cell in pattern.cells.tolist():
+        for u, v in itertools.combinations(cell, 2):
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+    alive = set(adjacent)
+    interior = alive - set(pattern.boundary_ids)
+    order = []
+    while interior:
+        x = min(interior, key=lambda v: (len(adjacent[v] & alive), v))
+        interior.remove(x)
+        alive.remove(x)
+        around = adjacent[x] & alive
+        for u in around:
+            adjacent[u] |= around - {u}
+        order.append((x, tuple(sorted(around))))
+    return order
+
+
+SCHEDULE_SPECS = {
+    **{f"{kind}:{param}": generate_spec(kind, param)
+       for kind, param in [("gasket", 2), ("gasket", 3), ("gasket", 9), ("gasket", 15),
+                           ("polygasket", 6), ("polygasket", 9)]},
+    "tetra": tetra_spec(),
+    "two-corner": FractalSpec.from_json_dict(TWO_CORNER_FIELDS),
+    "chain:1000": chain_spec(1000),
+    "chain:2000": chain_spec(2000),
+}
+
+
+@pytest.mark.parametrize("name", list(SCHEDULE_SPECS))
+def test_schedule_heap_picks_the_full_scan_order(name):
+    spec = SCHEDULE_SPECS[name]
+    schedule = reduction_schedule(build_level(spec, 1))
+    assert [(x, around) for x, around, *_ in schedule.eliminated] == full_scan_order(
+        build_level(spec, 1))
+    # each pivot's writes are the updates between its predecessor's and its
+    # successor's, and only the corners' closure follows the last
+    stops = [0] + [writes.stop for *_, writes in schedule.eliminated]
+    assert [writes.start for *_, writes in schedule.eliminated] == stops[:-1]
+    for (x, around, _, writes) in schedule.eliminated:
+        assert len(writes) == len(around) * (len(around) - 1) // 2
+    assert spec.schedule is spec.schedule
+
+
 def test_resource_limit(monkeypatch):
     spec = generate_spec("gasket", 2)
-    monkeypatch.setattr(structure, "level_address_count",
-                        lambda spec, n: level_address_count(spec, n, 1000))
+    monkeypatch.setattr(structure, "DEFAULT_MAX_ADDRESSES", 1000)
     with pytest.raises(ResourceLimitError) as err:
         build_level(spec, 8)
     assert err.value.attempted_size == 3 * 3 ** 8
