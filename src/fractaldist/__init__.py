@@ -19,7 +19,6 @@ from .harmonic import (
     default_boundary_matrix,
     extension_matrices,
     fixed_point_eigendata,
-    harmonic_eval,
     separation_constant,
     solve_equal_renormalization,
 )
@@ -28,9 +27,6 @@ from .measures import (
     cell_measure_table,
     check_domination,
     default_tuple,
-    harmonic_cell_measure,
-    piecewise_cell_measure,
-    trace_coefficients,
 )
 from .metrics import (
     Certificate,

@@ -14,7 +14,8 @@ class SpecValidationError(FractalDistError, ValueError):
 
 
 class ResourceLimitError(FractalDistError):
-    """A requested ``level`` would exceed the configured memory budget."""
+    """A requested ``level`` would exceed the configured memory budget, or
+    the exact level-1 elimination its size limit (``level`` 1)."""
 
     def __init__(self, message, attempted_size, level):
         super().__init__(message)

@@ -10,7 +10,8 @@ eliminating the interior of the one-cell network reproduces ``E0`` exactly.
 (``Fraction``) Kron reduction of the level-1 network over the spec's
 reduction schedule gives the traced form, and with it ``r`` and the
 regularity residual, and the extension matrices ``A_i``; each stored number
-is rounded once.  The fixed-point eigendata are computed in floats.
+is rounded once, and the size of the exact values is bounded
+(``MAX_EXACT_BITS``).  The fixed-point eigendata are computed in floats.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BrokenStructureError, DegenerateFormError, NoEqualWeightStructureError
-from .structure import FractalSpec, LevelGraph, VertexRef, Word, build_level, cell_pairs
+from .errors import (
+    BrokenStructureError,
+    DegenerateFormError,
+    NoEqualWeightStructureError,
+    ResourceLimitError,
+)
+from .structure import FractalSpec, LevelGraph, Word, build_level, cell_pairs
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-12
@@ -34,6 +40,10 @@ EIGENVALUE_MATCH_TOL = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-10
 DET_TOL = 1e-12
 CONNECTIVITY_LEVEL = 3
+# largest denominator, in bits, of a conductance that _eliminate writes: the
+# exact pass slows with the sizes of its values, which grow with every
+# distinct weight (builtins stay below 1100 bits up to gasket:30)
+MAX_EXACT_BITS = 4096
 
 
 @dataclass
@@ -137,6 +147,8 @@ def _eliminate(spec: FractalSpec, D: np.ndarray, r=None) -> tuple[np.ndarray, np
     ``u(x) = sum_u G[x, u] u(u) / deg(x)`` in reverse order, once per
     boundary unit vector.  The matrices are rounded once; a zero ``deg`` or
     an entry past the largest double raises :class:`DegenerateFormError`.
+    A conductance whose denominator needs more than ``MAX_EXACT_BITS`` bits
+    raises :class:`ResourceLimitError` at the pivot that writes it.
     """
     schedule = spec.schedule
     q = spec.boundary
@@ -154,6 +166,11 @@ def _eliminate(spec: FractalSpec, D: np.ndarray, r=None) -> tuple[np.ndarray, np
         for dst, first, u, v in schedule.updates[writes.start:writes.stop]:
             c = G[u] * G[v] / degrees[-1]
             G[dst] = c if first else G[dst] + c
+            bits = G[dst].denominator.bit_length()
+            if bits > MAX_EXACT_BITS:
+                raise ResourceLimitError(
+                    f"the exact level-1 elimination needs a {bits}-bit denominator at "
+                    f"node {x} (limit {MAX_EXACT_BITS} bits)", bits, 1)
     traced = np.zeros((q, q), dtype=object)
     traced[np.triu_indices(q, 1)] = [-G[t] for t in schedule.corners]
     traced += traced.T
@@ -367,12 +384,6 @@ def _connected_without(lg: LevelGraph, removed: int) -> bool:
                           shape=(lg.num_vertices, lg.num_vertices))
     _, label = connected_components(graph, directed=False)
     return np.unique(np.delete(label, removed)).size == 1
-
-
-def harmonic_eval(hs: HarmonicStructure, alpha: np.ndarray, ref: VertexRef) -> float:
-    """Value of the harmonic function with boundary values ``alpha`` at the
-    point addressed by ``ref`` (well defined across glued addresses)."""
-    return float(hs.values_on_cell(ref.word, np.asarray(alpha, dtype=float))[ref.label])
 
 
 def separation_constant(hs: HarmonicStructure, letter_i: int, letter_j: int) -> float:

@@ -6,14 +6,12 @@ boundary values.  Measures are represented only through their values on cells
 (additive over subdivision, atomless), never through densities.
 
 Every per-depth table of a cell function is one :class:`CellMeasureTable`,
-built from its deepest depth by subtree sums: the tuple's measures, the
-domination slack ``mu_h - mu_f`` (a signed cell measure, :class:`SlackTable`)
-and the interpolant's measure of one cell (:func:`piecewise_cell_measure`).
+built from its deepest depth by subtree sums: the tuple's measures and the
+domination slack ``mu_h - mu_f`` (a signed cell measure, :class:`SlackTable`).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -206,30 +204,31 @@ def cell_form(D: np.ndarray, rw: np.ndarray | float, X: np.ndarray,
     """Per-cell energy pairing ``(2 / r_w) * sum_j (-D X[c, :, j], Y[c, :, j])``.
 
     A valid ``D`` has the constants as its kernel, so this is ``(2 / r_w) *
-    sum_p D[a, b] * corner_products(X, Y)[p]``: corner differences, which
-    keep their digits on small cells where the raw O(1) values cancel.  With
-    a ``[cells, q]`` vertex table ``cells``, ``X`` and ``Y`` hold vertex
-    values and cell ``c`` reads ``X[cells[c]]``, gathered one block of cells
-    at a time.
+    sum_p D[a, b] * corner_products(X, Y)[p]`` (:func:`pair_form`): corner
+    differences, which keep their digits on small cells where the raw O(1)
+    values cancel.  With a ``[cells, q]`` vertex table ``cells``, ``X`` and
+    ``Y`` hold vertex values and cell ``c`` reads ``X[cells[c]]``, gathered
+    one block of cells at a time.
     """
     energy = np.empty(len(X) if cells is None else len(cells))
+    rw = np.broadcast_to(rw, energy.shape)
     for s in range(0, len(energy), _STREAM_BLOCK_CELLS):
         part = slice(s, s + _STREAM_BLOCK_CELLS)
         at = part if cells is None else cells[part]
-        table = corner_products(X[at], None if Y is None else Y[at])
-        table *= D[np.triu_indices(len(D), 1)][:, None]
-        table.sum(axis=0, out=energy[part])
-    energy *= 2.0
-    return np.divide(energy, rw, out=energy)
+        pair_form(D, rw[part], corner_products(X[at], None if Y is None else Y[at]),
+                  energy[part])
+    return energy
 
 
-def harmonic_cell_measure(hs: HarmonicStructure, h: HarmonicTuple, word: Word) -> float:
-    """Measure of cell ``word`` under the tuple's summed energy measure:
-    ``sum_j (2 / r_w) * E0(values of h_j on the cell)``, by the quadratic
-    form itself: the reference for the vectorized :func:`cell_form`."""
-    vals = hs.values_on_cell(word, h.alphas.T.astype(float))[None]  # [1, q, N]
-    return float((2.0 / math.prod(hs.r[list(word)]))
-                 * np.einsum("cqj,qp,cpj->c", vals, -hs.D, vals)[0])
+def pair_form(D: np.ndarray, rw: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``(2 / r_w) * sum_p D[a, b] * table[p]`` to ``out`` and return
+    it, for a ``[pairs, cells]`` :func:`corner_products` table, which is
+    overwritten: the pair weighting of :func:`cell_form` and of the profile's
+    one pass over a level (``metrics._measure_level``)."""
+    table *= D[np.triu_indices(len(D), 1)][:, None]
+    table.sum(axis=0, out=out)
+    out *= 2.0
+    return np.divide(out, rw, out=out)
 
 
 def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
@@ -250,22 +249,6 @@ def cell_energies(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray) -> np.nd
     :func:`cell_form` on the values ``f[cells]``."""
     return cell_form(hs.D, renorm_products(hs.r, lg.level), np.asarray(f, dtype=float),
                      cells=lg.cells)
-
-
-def piecewise_cell_measure(hs: HarmonicStructure, lg: LevelGraph,
-                           f: np.ndarray, word: Word) -> float:
-    """Measure of cell ``word`` for the level-``lg.level`` harmonic
-    interpolant of vertex values ``f``: its entry in the table of
-    :func:`cell_energies`; ``len(word) <= lg.level``."""
-    return CellMeasureTable.from_deepest(hs.spec.letters, cell_energies(hs, lg, f)).value(word)
-
-
-def trace_coefficients(hs: HarmonicStructure, word: Word) -> np.ndarray:
-    """Pairwise conductances across a cell: ``b[p, q] = 2 * D[p, q] / r_w``
-    (symmetric, nonnegative off-diagonal, zero diagonal)."""
-    b = 2.0 * np.asarray(hs.D, dtype=float) / math.prod(hs.r[list(word)])
-    np.fill_diagonal(b, 0.0)
-    return b
 
 
 @dataclass

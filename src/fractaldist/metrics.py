@@ -18,24 +18,29 @@ those reductions.  Walk lengths between fixed references
 builder serves every depth (:func:`corner_walks`): the level-``n`` cells are
 expanded and reduced one block of subtrees at a time, so the references'
 walks never hold a whole level.  Profiles and
-certificates, which need every vertex, read the level's unreduced corner
-lengths from it, keep each level's elimination table on the way up and run
-the elimination backwards on the way down (:func:`geodesic_profile`); the
-path of :func:`discrete_geodesic` is walked back over the level's cell edges
-that its profile holds tight.  They hold per-cell numbers of the whole level
-(corner lengths, measures), never its cells' corner values: every reader of
-those runs over one block of cells at a time (:func:`_cell_blocks`).  A
+certificates, which need every vertex, measure the level's unreduced corner
+lengths and its tuple measures in one pass over its cells (:func:`_profile`),
+keep each level's elimination table on the way up and run the elimination
+backwards on the way down (:func:`geodesic_profile`); the path of
+:func:`discrete_geodesic` is walked back over the level's cell edges that its
+profile holds tight.  They hold per-cell numbers of the whole level (corner
+lengths while the profile is built, measures), never its cells' corner
+values: every reader of those runs over one block of cells at a time
+(:func:`_cell_blocks`).  A
 profile from a source on level ``n`` itself (and so a certificate or an
 estimate from one) runs Dijkstra on its skeleton, the whole level-``n`` walk
 graph.  Otherwise the level-``n`` graph (:func:`weighted_level_graph`) is
 built on demand, for the ``graph`` export and the tests' Dijkstra oracles.
 
 A :class:`MetricContext` keeps, per level, the vertex graph, the cell
-measures, the corner walks and one profile, the last one computed there.  A
-certificate, estimate or path after a profile from the same source reads that
-profile and runs no second elimination.  The profile, and a certificate's
-values when the cap caps nothing, are shared and read-only; a request from
-another source replaces the level's profile.
+measures, one profile, the last one computed there, and the corner walks that
+were asked for by ``(n, m)``.  A profile leaves the level's measures set and
+keeps no corner lengths, so a certificate or estimate after it from the same
+source reads that profile and those measures, and expands no cell again.  A
+path after it runs no second elimination, but measures the level's corner
+lengths again (:func:`edge_arrays`).  The profile, and a certificate's values
+when the cap caps nothing, are shared and read-only; a request from another
+source replaces the level's profile.
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -69,6 +74,7 @@ from .measures import (
     check_domination,
     corner_products,
     default_tuple,
+    pair_form,
     tuple_cell_measures,
 )
 from .structure import (
@@ -93,10 +99,12 @@ PATH_RTOL = 1e-12
 @dataclass
 class LevelData:
     """Cached arrays of one whole level, each built on its first request: the
-    vertex graph, the tuple's cell measures, filled block by block from
-    :func:`_cell_blocks`, and one distance profile.  No array holds the
-    corner values of the whole level; its corner lengths are
-    :func:`corner_walks` at ``m == n``.
+    vertex graph, the tuple's cell measures and one distance profile.  The
+    measures are set by the level's first profile, whose pass over the cells
+    measures them with the corner lengths (:func:`_profile`), or else filled
+    block by block by :func:`tuple_cell_measures`.  No array holds the corner
+    values of the whole level, nor, here, its corner lengths: those are
+    :func:`corner_walks` at ``m == n``, cached on the context when asked for.
 
     ``profile`` is the last profile :func:`geodesic_profile` computed on the
     level, as ``((source level, canonical source vertex id), phi)``, or None.
@@ -116,7 +124,8 @@ class LevelData:
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
-        """Tuple measures of the level cells, :func:`tuple_cell_measures`."""
+        """Tuple measures of the level cells, as :func:`tuple_cell_measures`;
+        a profile of the level sets them first."""
         return tuple_cell_measures(self.hs, self.h, self.level)
 
 
@@ -127,6 +136,8 @@ class MetricContext:
     the corner walks of :func:`corner_walks` keyed by ``(n, m)``, the level's
     own corner lengths at ``m == n``.  Each array is built on its first
     request; the profile is replaced by a request from another source.
+    Profiles read no corner walks and leave none here: they measure the
+    level's corner lengths themselves and free them on the way up.
     The corner walks and the profile are shared with later callers and
     read-only.
     Reads are thread-safe once built; building is not."""
@@ -274,23 +285,46 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     return data.profile[1]
 
 
+def _measure_level(ctx: MetricContext, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-``n`` cells' corner lengths, laid out as
+    :func:`_corner_lengths`, and their tuple measures, as
+    :func:`tuple_cell_measures`, bit for bit, from one pass over
+    :func:`_cell_blocks`: each block's :func:`corner_products` table gives
+    both, its square roots first and then its :func:`pair_form`."""
+    hs = ctx.hs
+    rw = renorm_products(hs.r, n)
+    lengths = np.empty((math.comb(ctx.spec.boundary, 2), len(rw)))
+    mu = np.empty(len(rw))
+    for start, values in _cell_blocks(hs, ctx.h, n):
+        table = corner_products(values)
+        del values
+        part = slice(start, start + table.shape[1])
+        np.sqrt(table, out=lengths[:, part])
+        pair_form(hs.D, rw[part], table, mu[part])
+    return lengths, mu
+
+
 def _profile(ctx: MetricContext, src_lg: LevelGraph, src: int, n: int) -> np.ndarray:
     """The profile of :func:`geodesic_profile` from vertex ``src`` of the
     source level ``src_lg``.
 
-    The level's corner lengths (``corner_walks(ctx, n, n)``, measured one
-    block of cells at a time and shared with :func:`edge_arrays`) are
-    reduced up the cell tree to the source level ``m``
-    (:func:`_reduce_cells`), keeping each level's elimination table;
-    Dijkstra runs on the level-``m`` skeleton, as in
-    :func:`geodesic_converge`; the tables are then run backwards down the
-    tree (:func:`_fill_patterns`), and the level-``n`` cells' corners are
-    scattered to their vertex ids.  Every vertex is a node of one parent's
-    pattern, or a skeleton vertex, and takes its value there; identified
-    corners copy it, so the profile does not depend on the scatter order.
+    The level's corner lengths and tuple measures are measured in one pass,
+    one block of cells at a time (:func:`_measure_level`); the measures
+    become ``LevelData.mu`` unless the level has them already.  The lengths
+    are not cached: they are reduced up the cell tree to the source level
+    ``m`` (:func:`_reduce_cells`), keeping each level's elimination table,
+    and freed after the first step.  Dijkstra runs on the level-``m``
+    skeleton, as in :func:`geodesic_converge`; the tables are then run
+    backwards down the tree (:func:`_fill_patterns`), and the level-``n``
+    cells' corners are scattered to their vertex ids.  Every vertex is a node
+    of one parent's pattern, or a skeleton vertex, and takes its value there;
+    identified corners copy it, so the profile does not depend on the scatter
+    order.
     """
     schedule = ctx.schedule
-    W = corner_walks(ctx, n, n)
+    W, mu = _measure_level(ctx, n)
+    vars(ctx.level(n)).setdefault("mu", mu)  # where the cached_property keeps it
+    del mu
     tables = []
     for _ in range(n - src_lg.level):
         tables.append(_reduce_cells(W, schedule))
@@ -431,7 +465,8 @@ def default_cap(ctx: MetricContext) -> float:
     a, b = np.triu_indices(len(ctx.hs.D), 1)
     pinv = -np.linalg.pinv(ctx.hs.D)  # of the boundary Laplacian
     c = float(np.max((pinv[a, a] - pinv[b, a]) - (pinv[a, b] - pinv[b, b])))
-    total = float(tuple_cell_measures(ctx.hs, ctx.h, 0)[0])
+    # mu_h(K): the level-0 entry of tuple_cell_measures, from the boundary rows
+    total = float(cell_form(ctx.hs.D, 1.0, ctx.h.alphas.T[None])[0])
     return 2.0 * math.sqrt(c * total / 2.0)
 
 
@@ -650,7 +685,9 @@ def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
 
     Built by :func:`_streamed_walks`, which holds no more than one block of
     level-``n`` cells' values, and cached on the context, keyed by ``(n,
-    m)``; read-only, since every caller shares it.
+    m)``; read-only, since every caller shares it.  Its callers are
+    :func:`edge_arrays`, :func:`weighted_level_graph`, :func:`distance_matrix`
+    and :func:`geodesic_converge`; profiles measure their own lengths.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cell level {m} must lie between 0 and the walk level {n}")

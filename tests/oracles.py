@@ -2,16 +2,21 @@
 
 No library code calls them: the level-1 form as a sparse matrix (the
 library eliminates it through the reduction schedule, see
-``harmonic._eliminate``), and the canonical address of a vertex by a search
+``harmonic._eliminate``), the canonical address of a vertex by a search
 of its glue orbit (the library numbers vertices by the rank tables of
-``build_level``).
+``build_level``), a harmonic function's value at one address and a cell's
+measure by the quadratic form of that one cell (the library expands whole
+levels, ``measures.cell_boundary_values``, and weighs their corner
+differences, ``measures.cell_form``).
 """
 
+import math
 from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 
+from fractaldist.measures import CellMeasureTable, cell_energies
 from fractaldist.structure import FractalSpec, VertexRef, check_ref
 
 
@@ -58,3 +63,33 @@ def canonicalize(spec: FractalSpec, ref: VertexRef) -> VertexRef:
                     queue.append(cand)
     word, label = min(seen)
     return VertexRef(word, label)
+
+
+def harmonic_eval(hs, alpha, ref):
+    """Value of the harmonic function with boundary values ``alpha`` at the
+    point addressed by ``ref`` (well defined across glued addresses)."""
+    return float(hs.values_on_cell(ref.word, np.asarray(alpha, dtype=float))[ref.label])
+
+
+def harmonic_cell_measure(hs, h, word):
+    """Measure of cell ``word`` under the tuple's summed energy measure:
+    ``sum_j (2 / r_w) * E0(values of h_j on the cell)``, by the quadratic
+    form itself."""
+    vals = hs.values_on_cell(word, h.alphas.T.astype(float))[None]  # [1, q, N]
+    return float((2.0 / math.prod(hs.r[list(word)]))
+                 * np.einsum("cqj,qp,cpj->c", vals, -hs.D, vals)[0])
+
+
+def piecewise_cell_measure(hs, lg, f, word):
+    """Measure of cell ``word`` for the level-``lg.level`` harmonic
+    interpolant of vertex values ``f``: its entry in the table of
+    ``cell_energies``; ``len(word) <= lg.level``."""
+    return CellMeasureTable.from_deepest(hs.spec.letters, cell_energies(hs, lg, f)).value(word)
+
+
+def trace_coefficients(hs, word):
+    """Pairwise conductances across a cell: ``b[p, q] = 2 * D[p, q] / r_w``
+    (symmetric, nonnegative off-diagonal, zero diagonal)."""
+    b = 2.0 * np.asarray(hs.D, dtype=float) / math.prod(hs.r[list(word)])
+    np.fill_diagonal(b, 0.0)
+    return b

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines
-as they complete.  The whole module takes about 30 s and peaks around
-2.4 GiB of RAM on a 2-vCPU host, almost all of it in the deepest runs
-(criterion 4 at level 9 on the six-cell families, criterion 9 at levels 10
-and 12).
+as they complete; each ends with the criterion's own wall time.  The whole
+module takes about 30 s and peaks around 2.4 GiB of RAM on a 2-vCPU host,
+almost all of it in the deepest runs (criterion 4 at level 9 on the six-cell
+families, criterion 9 at levels 10 and 12).
 """
 
 import filecmp
@@ -50,8 +50,20 @@ UNIT_TRIANGLE_D = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]
 CORNERS = [VertexRef((), a) for a in range(3)]
 
 
+_clock = [0.0]  # when the running criterion, or its last reported part, began
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    _clock[0] = time.perf_counter()
+
+
 def _report(num: int, passed: bool, detail: str) -> None:
-    line = f"ACCEPTANCE {num:2d} {'PASS' if passed else 'FAIL'}: {detail}"
+    """Print the criterion's line, ending with its wall time since the test
+    began, or since its previous line."""
+    now = time.perf_counter()
+    wall, _clock[0] = now - _clock[0], now
+    line = f"ACCEPTANCE {num:2d} {'PASS' if passed else 'FAIL'}: {detail} [wall {wall:.2f} s]"
     print(line, flush=True)
     assert passed, line
 

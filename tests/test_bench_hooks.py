@@ -34,6 +34,10 @@ def test_tracer_hooks_resolve_and_restore(tmp_path):
         # the level's walk graph
         assert cli.main(["--spec", "gasket:2", "--out", str(tmp_path), "graph",
                          "--level", "2"]) == 0
+        # a certificate takes its measures from the profile's pass over the
+        # level; the depth table still tabulates them on their own
+        assert cli.main(["--spec", "gasket:2", "--out", str(tmp_path), "measures",
+                         "--depth", "2"]) == 0
     finally:
         tr.restore()
     recorded = {span.name for span in tr.spans}

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fractaldist import measures, metrics, structure
+from fractaldist import harmonic, measures, metrics, structure
 from fractaldist.cli import load_spec, main, parse_builtin, save_spec
 from fractaldist.errors import SpecValidationError
 from fractaldist.harmonic import HarmonicStructure
@@ -164,6 +164,17 @@ def test_oversized_spec_fails_before_its_arrays(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: level 1 needs 3000000000000 addresses (limit 80000000)\n")
+    assert not os.path.exists(out)
+
+
+def test_oversized_exact_elimination_fails_with_its_limit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "weighted.json"
+    save_spec(str(path), generate_spec("gasket", 2), D=UNIT_TRIANGLE_D, r=[0.5, 0.6, 0.7])
+    monkeypatch.setattr(harmonic, "MAX_EXACT_BITS", 8)
+    code, out = run_cli(tmp_path, "--spec", str(path), "check")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("(limit 8 bits)\n") and err.count("\n") == 1
     assert not os.path.exists(out)
 
 

@@ -1,6 +1,7 @@
 """Boundary form checks, regularity, extension matrices, eigendata."""
 
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from fractaldist.errors import (
     DegenerateFormError,
     FractalDistError,
     NoEqualWeightStructureError,
+    ResourceLimitError,
 )
+from fractaldist import harmonic
 from fractaldist.harmonic import (
     HarmonicStructure,
     check_dirichlet_matrix,
@@ -24,7 +27,6 @@ from fractaldist.harmonic import (
     default_boundary_matrix,
     extension_matrices,
     _connected_without,
-    harmonic_eval,
     renorm_products,
     separation_constant,
     solve_equal_renormalization,
@@ -39,7 +41,7 @@ from conftest import (
     chain_spec,
     tetra_spec,
 )
-from oracles import assemble_discrete_form
+from oracles import assemble_discrete_form, harmonic_eval
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,24 @@ def test_unrepresentable_extension_entry_is_a_degenerate_form(sg2_spec):
     D = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 5e-324], [1.0, 5e-324, 0.0]])
     with pytest.raises(DegenerateFormError, match="finite double"):
         HarmonicStructure.build(sg2_spec, D, np.full(3, 0.5))
+
+
+def test_exact_elimination_stops_at_the_bit_limit(sg2_spec, monkeypatch):
+    # each distinct weight's odd part multiplies into the exact denominators:
+    # 210 cells with eleven weights pass the limit early in the elimination
+    spec = generate_spec("gasket", 20)
+    r = 0.2 * (1 + (np.arange(spec.letters) % 11) / 100)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"limit {harmonic.MAX_EXACT_BITS} bits"):
+        HarmonicStructure.build(spec, default_boundary_matrix(3), r)
+    assert time.perf_counter() - t0 < 10.0
+    # the limit is read at call time; below it the same spec builds
+    r = np.array([0.5, 0.6, 0.7])
+    assert np.all(np.isfinite(extension_matrices(sg2_spec, UNIT_TRIANGLE_D, r)))
+    monkeypatch.setattr(harmonic, "MAX_EXACT_BITS", 8)
+    with pytest.raises(ResourceLimitError, match="limit 8 bits") as exc:
+        extension_matrices(sg2_spec, UNIT_TRIANGLE_D, r)
+    assert exc.value.attempted_size > 8 and exc.value.level == 1
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,36 @@ def test_level_keeps_its_last_profile(sg2_hs, monkeypatch):
     assert eliminated
 
 
+@pytest.mark.parametrize("name, n, alphas, block", [
+    ("gasket:2", 6, None, None), ("gasket:3", 4, None, None), ("polygasket:6", 3, None, None),
+    ("gasket:2", 5, [[0, 1, 1], [1, 0, 1], [0.5, -1, 2]], None), ("skew gasket:2", 6, None, 7)])
+def test_profile_measures_the_level_once(name, n, alphas, block, monkeypatch):
+    # the skewed structure's r_w differ from cell to cell, so each block must
+    # read its own
+    hs = skew_gasket_hs() if name.startswith("skew") else builtin_hs(name)
+    h = None if alphas is None else HarmonicTuple(np.array(alphas, dtype=float))
+    mu = MetricContext(hs, h).level(n).mu
+    if block is not None:  # blocks of 7 cells put seams inside the pass
+        monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", block)
+    ctx = MetricContext(hs, h)
+    x, y = CORNER[0], CORNER[1]
+    geodesic_profile(ctx, x, n)
+    # the profile's pass leaves the measures, and keeps no corner lengths
+    assert "mu" in vars(ctx.level(n))
+    assert np.array_equal(ctx.level(n).mu, mu)
+    assert (n, n) not in ctx._walks
+    expanded = []
+
+    def counted(*args):
+        expanded.append(args[2])
+        return cell_boundary_values(*args)
+
+    monkeypatch.setattr(measures, "cell_boundary_values", counted)
+    cert = intrinsic_certificate(ctx, x, y, n)
+    intrinsic_estimate(ctx, x, y, n, budget=2)
+    assert expanded == [] and cert.feasible
+
+
 def test_quasi_metric_laws(sg2_ctx):
     dm = distance_matrix(sg2_ctx, 2, 5)
     assert np.max(np.abs(dm - dm.T)) <= 1e-12
