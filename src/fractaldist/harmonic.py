@@ -118,11 +118,23 @@ def check_dirichlet_matrix(D: np.ndarray) -> ConditionReport:
 
 
 def renorm_products(r: np.ndarray, n: int) -> np.ndarray:
-    """Weight products ``r_w`` of all level-``n`` cells in big-endian cell-code order."""
+    """Weight products ``r_w`` of all level-``n`` cells in big-endian
+    cell-code order, read-only.
+
+    Each product is built letter by letter, ``((1 * r_{w_1}) * r_{w_2}) *
+    ...``.  When all ``r_i`` are equal every cell has that one product, and
+    the result is a zero-stride view of it over the ``k**n`` cells; per-letter
+    weights get the whole table."""
     r = np.asarray(r, dtype=float)
+    if np.all(r == r[0]):
+        rw = 1.0
+        for _ in range(n):
+            rw *= r[0]
+        return np.broadcast_to(rw, (len(r) ** n,))
     rw = np.ones(1)
     for _ in range(n):
         rw = (rw[:, None] * r[None, :]).ravel()
+    rw.flags.writeable = False
     return rw
 
 

@@ -333,7 +333,9 @@ def check_domination(hs: HarmonicStructure, lg: LevelGraph, f: np.ndarray,
     :func:`tuple_cell_measures`).  For every word with ``len(word) <=
     lg.level`` the slack is the tuple's cell measure minus the
     piecewise-harmonic interpolant's cell measure; the deepest level is
-    computed directly and coarser levels by subtree sums.
+    computed directly, ``mu`` minus the cell energies written over the
+    energies, and coarser levels by subtree sums.
     """
-    return SlackTable.from_deepest(hs.spec.letters, mu - cell_energies(hs, lg, f),
-                                   float(mu.sum()), tolerance)
+    slack = cell_energies(hs, lg, f)
+    np.subtract(mu, slack, out=slack)
+    return SlackTable.from_deepest(hs.spec.letters, slack, float(mu.sum()), tolerance)

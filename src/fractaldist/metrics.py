@@ -333,20 +333,29 @@ def _profile(ctx: MetricContext, src_lg: LevelGraph, src: int, n: int) -> np.nda
     if not tables:
         return d
     corners = d[src_lg.cells.T]
+    k, q = schedule.cells.shape
     while True:
         nodes = _fill_patterns(corners, tables.pop(), schedule)
         if not tables:
             break
-        # corner a of child j of parent P is node cells[j, a] of P's pattern
-        corners = nodes[schedule.cells.T].swapaxes(1, 2).reshape(len(corners), -1)
+        # corner a of child j of parent P is node cells[j, a] of P's pattern:
+        # column P * k + j of the children's [q, P * k] corner table
+        corners = np.empty((q, nodes.shape[1] * k))
+        by_child = corners.reshape(q, -1, k)
+        for (j, a), node in np.ndenumerate(schedule.cells):
+            by_child[a, :, j] = nodes[node]
     lg = ctx.level(n).lg
     phi = np.empty(lg.num_vertices)
-    # each node is written once, through its first (child, corner) address;
-    # that address's ids over all parents are gathered into one row
+    # each node is written once, through its first (child, corner) address,
+    # whose ids over a block of parents are one column of the level's cell
+    # table; the blocks of _fill_patterns keep a block's rows in cache
     first = np.unique(schedule.cells, return_index=True)[1]
-    ids = lg.cells.reshape(-1, schedule.cells.size)[:, first].T.copy()
-    for node_ids, row in zip(ids, nodes):
-        phi[node_ids] = row
+    addresses = lg.cells.reshape(-1, k * q)
+    block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
+    for s in range(0, len(addresses), block):
+        ids = addresses[s:s + block]
+        for slot, row in zip(first, nodes[:, s:s + block]):
+            phi[ids[:, slot]] = row
     return phi
 
 
@@ -610,7 +619,8 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
 # ---------------------------------------------------------------------------
 
 # parents closed at once by _reduce_cells: its [slots, parents] work array
-# stays at 2**18 entries (2 MiB), which keeps the row operations in cache
+# stays at 2**18 entries (2 MiB), which keeps the row operations in cache;
+# _fill_patterns and the scatter of _profile run over the same blocks
 _REDUCE_BLOCK_ENTRIES = 1 << 18
 
 

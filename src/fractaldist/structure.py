@@ -598,10 +598,18 @@ def csv_rows(*fields: np.ndarray) -> str:
 
 def _place_values(values: np.ndarray, width: int, base: int) -> np.ndarray:
     """``[width, rows]`` base-``base`` digits, most significant first, of
-    nonnegative integers below ``base**width``: one array division per
-    digit."""
+    nonnegative integers below ``base**width``: one 32-bit array division per
+    digit.  Values that may need more than 32 bits are first split into
+    their high and low halves of digits, recursively, until every part fits."""
     rest = np.asarray(values, dtype=np.int64)
     digits = np.empty((width, rest.size), dtype=np.uint8)
+    if base ** width > 1 << 32:
+        low = width // 2
+        high = rest // base ** low
+        digits[:width - low] = _place_values(high, width - low, base)
+        digits[width - low:] = _place_values(rest - high * base ** low, low, base)
+        return digits
+    rest = rest.astype(np.uint32)
     for pos in range(width - 1, -1, -1):
         quotient = rest // base
         digits[pos] = rest - quotient * base

@@ -108,6 +108,29 @@ def test_restriction_energies_nondecreasing(sg2_spec, sg2_hs):
             assert uc @ Mc @ uc <= u @ Mf @ u + 1e-10
 
 
+def product_table(r, n):
+    """``r_w`` of every level-``n`` cell, one letter at a time."""
+    rw = np.ones(1)
+    for _ in range(n):
+        rw = (rw[:, None] * np.asarray(r, dtype=float)[None, :]).ravel()
+    return rw
+
+
+def test_equal_weight_products_are_one_number(sg2_hs, sg3_hs, hexa_hs):
+    for hs, n in ((sg2_hs, 12), (sg3_hs, 8), (hexa_hs, 8)):
+        rw = renorm_products(hs.r, n)
+        assert rw.shape == (hs.spec.letters ** n,) and rw.strides == (0,)
+        assert not rw.flags.writeable
+        assert np.ascontiguousarray(rw).tobytes() == product_table(hs.r, n).tobytes()
+
+
+def test_per_letter_products_are_a_table():
+    for n in range(7):
+        rw = renorm_products(SKEW_GASKET_R, n)
+        assert rw.strides == (8,) and not rw.flags.writeable
+        assert rw.tobytes() == product_table(SKEW_GASKET_R, n).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # regularity and the equal-weight solve
 # ---------------------------------------------------------------------------

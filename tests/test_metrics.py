@@ -1,6 +1,7 @@
 """Walk metrics, convergence, certificates, estimates, embeddings."""
 
 import functools
+import hashlib
 import itertools
 import os
 import tracemalloc
@@ -889,6 +890,32 @@ def test_corner_walks_keep_frozen_bits(name):
     assert [float.hex(float(v)) for v in metrics.corner_walks(ctx, 7, 0)[:, 0]] == whole
     assert [[float.hex(float(v)) for v in row]
             for row in metrics.corner_walks(ctx, 7, 2)[:, :4]] == cells
+
+
+# sha256 of the bytes of geodesic_profile and of every SlackTable.values
+# level of intrinsic_certificate (default cap and tuple), frozen like
+# CORNER_WALKS_7 but at depth, where the profile's reductions, fills and
+# scatter and the certificate's r_w products and slack run on whole levels
+ROUTE_BITS = {
+    ("gasket:2", 9, "-:0", "-:1"): (
+        "22214ecc1ec91bc90e8d0189a1295aee7f091c21608b02c89bbcf3e3f2a6b32b",
+        "b67ff1392ba02ca50dab46eaa229b434b5482cf0cfaf96e1f7b94cec4b865bb4"),
+    ("polygasket:6", 5, "10:2", "-:1"): (
+        "d82bfac7097b34f7ff104134646d4038a1ec9c18a1487bfb04f3d3d2e5195705",
+        "c97cbb24fb06dc9bb56a54ece78d5608fdbb4374438fed03f9364347bac69c2f"),
+}
+
+
+@pytest.mark.parametrize("name, n, x, y", list(ROUTE_BITS))
+def test_profile_and_slack_keep_frozen_bits(name, n, x, y):
+    profile, slack = ROUTE_BITS[name, n, x, y]
+    ctx = MetricContext(builtin_hs(name))
+    x, y = VertexRef.parse(x), VertexRef.parse(y)
+    assert hashlib.sha256(geodesic_profile(ctx, x, n).tobytes()).hexdigest() == profile
+    digest = hashlib.sha256()
+    for values in intrinsic_certificate(ctx, x, y, n).slack.values:
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == slack
 
 
 def test_distance_matrix_oversized_level_fails_first(sg2_ctx, monkeypatch):

@@ -30,6 +30,7 @@ from fractaldist.structure import (
     encode_word,
     float_chars,
     generate_spec,
+    int_chars,
     lift,
     reduction_schedule,
     row_blocks,
@@ -497,6 +498,21 @@ def test_word_column_spells_every_code(k):
         codes = range(0, k ** length, 37 if k ** length > 10 ** 6 else 1)
         expected = [_word_to_str(decode_word(c, length, k)) for c in codes]
         table = word_column(np.array(codes), length, k)
+        assert [col.tobytes().decode("ascii") for col in table.T] == expected
+
+
+def test_digits_past_32_bits_are_split():
+    # a value that may need more than 32 bits is split into halves of its
+    # digits before the 32-bit divisions: decimals from 2**32 up, and words
+    # of more than 20 letters over three (3**20 < 2**32 < 3**21)
+    rng = np.random.default_rng(34)
+    values = np.concatenate([[2 ** 32 - 1, 2 ** 32, 10 ** 17 - 1, 10 ** 17, 2 ** 63 - 1],
+                             rng.integers(2 ** 32, 2 ** 63 - 1, 500)])
+    assert csv_rows(int_chars(values)).split("\n")[:-1] == [str(v) for v in values.tolist()]
+    for length in (20, 21, 30, 39):
+        codes = np.concatenate([[0, 3 ** length - 1], rng.integers(0, 3 ** length, 200)])
+        expected = [_word_to_str(decode_word(c, length, 3)) for c in codes.tolist()]
+        table = word_column(codes, length, 3)
         assert [col.tobytes().decode("ascii") for col in table.T] == expected
 
 
