@@ -264,10 +264,20 @@ class CellMeasureTable:
     @classmethod
     def from_deepest(cls, k: int, deepest: np.ndarray, *rest):
         """The table whose deepest depth is ``deepest``; every coarser depth
-        sums the subtrees below it.  ``rest`` are a subclass's own fields."""
+        sums the subtrees below it.  ``rest`` are a subclass's own fields.
+
+        Each parent sums its ``k`` children left to right from ``+0.0``, by
+        strided adds ``0.0 + v[0::k] + v[1::k] + ... + v[k-1::k]``.  For
+        ``k < 8`` that is numpy's own order in ``v.reshape(-1, k).sum(axis=1)``,
+        bit for bit; from ``k = 8`` numpy sums in pairs, so some last bits
+        differ from such a sum."""
         values = [deepest]
         while values[-1].size > 1:
-            values.append(values[-1].reshape(-1, k).sum(axis=1))
+            v = values[-1]
+            total = v[0::k] + 0.0  # +0.0, not -0.0, where every child is -0.0
+            for j in range(1, k):
+                total += v[j::k]
+            values.append(total)
         return cls(k, values[::-1], *rest)
 
     def value(self, word: Word) -> float:

@@ -313,37 +313,46 @@ def _profile(ctx: MetricContext, src_lg: LevelGraph, src: int, n: int) -> np.nda
     become ``LevelData.mu`` unless the level has them already.  The lengths
     are not cached: they are reduced up the cell tree to the source level
     ``m`` (:func:`_reduce_cells`), keeping each level's elimination table,
-    and freed after the first step.  Dijkstra runs on the level-``m``
+    and freed after the first step; each level's corner walks are the last
+    rows of its table, read in place.  Dijkstra runs on the level-``m``
     skeleton, as in :func:`geodesic_converge`; the tables are then run
-    backwards down the tree (:func:`_fill_patterns`), and the level-``n``
-    cells' corners are scattered to their vertex ids.  Every vertex is a node
-    of one parent's pattern, or a skeleton vertex, and takes its value there;
-    identified corners copy it, so the profile does not depend on the scatter
-    order.
+    backwards down the tree (:func:`_fill_patterns`), each freed once its
+    level is filled.  Each level's ``[nodes, P]`` table is made once, with
+    its corner rows written straight from the parents' nodes, and the
+    level-``n`` cells' corners are scattered to their vertex ids.  Every
+    vertex is a node of one parent's pattern, or a skeleton vertex, and takes
+    its value there; identified corners copy it, so the profile does not
+    depend on the scatter order.
     """
     schedule = ctx.schedule
+    pairs = len(schedule.corners)
     W, mu = _measure_level(ctx, n)
     vars(ctx.level(n)).setdefault("mu", mu)  # where the cached_property keeps it
     del mu
     tables = []
     for _ in range(n - src_lg.level):
         tables.append(_reduce_cells(W, schedule))
-        W = tables[-1][schedule.corners]
+        W = tables[-1][-pairs:]
     d = _dijkstra(_walk_graph(src_lg, W), src)
+    del W  # a view that would keep the last table through the fill
     if not tables:
         return d
-    corners = d[src_lg.cells.T]
     k, q = schedule.cells.shape
+    size = len(schedule.boundary_ids) + len(schedule.eliminated)
+    nodes = np.empty((size, len(src_lg.cells)))
+    for a, node in enumerate(schedule.boundary_ids):
+        nodes[node] = d[src_lg.cells[:, a]]
     while True:
-        nodes = _fill_patterns(corners, tables.pop(), schedule)
+        _fill_patterns(nodes, tables.pop(), schedule)
         if not tables:
             break
         # corner a of child j of parent P is node cells[j, a] of P's pattern:
-        # column P * k + j of the children's [q, P * k] corner table
-        corners = np.empty((q, nodes.shape[1] * k))
-        by_child = corners.reshape(q, -1, k)
+        # column P * k + j of the children's node table
+        parents, nodes = nodes, np.empty((size, nodes.shape[1] * k))
+        by_child = nodes.reshape(size, -1, k)
         for (j, a), node in np.ndenumerate(schedule.cells):
-            by_child[a, :, j] = nodes[node]
+            by_child[schedule.boundary_ids[a], :, j] = parents[node]
+        del parents
     lg = ctx.level(n).lg
     phi = np.empty(lg.num_vertices)
     # each node is written once, through its first (child, corner) address,
@@ -634,9 +643,10 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     child's weights on its corners; the ``schedule`` runs on the parents'
     ``[slots, P]`` elimination table, one row operation over all parents of
     a block at a time; a slot's first write is an assignment, so the table
-    is never filled with ``inf``.  Returns that table; its
-    ``schedule.corners`` rows are the parents' ``[pairs, P]`` corner walks,
-    laid out as ``W``.
+    is never filled with ``inf``.  Returns that table; its last ``pairs``
+    rows (``schedule.corners``) are the parents' ``[pairs, P]`` corner walks,
+    laid out as ``W``: ``G[-pairs:]`` reads them without a copy, and keeps
+    the whole table alive.
     """
     pairs = W.shape[0]
     children = W.reshape(pairs, -1, len(schedule.cells))
@@ -655,13 +665,15 @@ def _reduce_cells(W: np.ndarray, schedule: ReductionSchedule) -> np.ndarray:
     return G
 
 
-def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
-                   schedule: ReductionSchedule) -> np.ndarray:
+def _fill_patterns(nodes: np.ndarray, G: np.ndarray, schedule: ReductionSchedule) -> None:
     """One step down the cell tree in the (min, +) semiring: the back
     substitution of the elimination that :func:`_reduce_cells` ran forwards.
 
-    ``corner_d[a, P]`` is the distance from the source to corner ``a`` of
-    parent ``P``, and ``G`` the parents' ``[slots, P]`` table.  The source
+    ``nodes`` is the parents' ``[nodes, P]`` table of distances from the
+    source, one row per pattern node, whose corner rows
+    (``schedule.boundary_ids``) the caller has set; its other rows, one per
+    eliminated node, are written here.  ``G`` is the parents' ``[slots, P]``
+    elimination table.  The source
     lies in no parent's interior, so a shortest walk to a pattern node enters
     its parent last through a corner.  The nodes are filled in reverse
     elimination order, ``d(x) = min_u d(u) + G[slot(x, u)]`` over the
@@ -669,13 +681,9 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
     before ``x``, and ``G`` holds the shortest walks to them through the
     nodes eliminated before ``x``.  The first neighbour's sum is written to
     ``x`` and each other one taken by a minimum, whose bits do not depend on
-    the neighbours' order.  Returns ``[nodes, P]`` distances at every
-    pattern node of each parent.
+    the neighbours' order.
     """
     P = G.shape[1]
-    # every pattern node is a corner or was eliminated
-    nodes = np.empty((len(schedule.boundary_ids) + len(schedule.eliminated), P))
-    nodes[schedule.boundary_ids] = corner_d
     block = max(1, _REDUCE_BLOCK_ENTRIES // schedule.slots)
     for s in range(0, P, block):
         part, g = nodes[:, s:s + block], G[:, s:s + block]
@@ -684,7 +692,6 @@ def _fill_patterns(corner_d: np.ndarray, G: np.ndarray,
             np.add(part[around[0]], g[slots[0]], out=part[x])
             for u, t in zip(around[1:], slots[1:]):
                 np.minimum(part[x], np.add(part[u], g[t], out=via), out=part[x])
-    return nodes
 
 
 def corner_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
@@ -714,8 +721,12 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     of :func:`_cell_blocks` is measured and reduced ``n - p`` levels, into
     one level-``p`` table; the prefix values are freed with the last block,
     and that table is reduced ``p - m`` more levels.  At ``m == n`` nothing
-    is reduced."""
+    is reduced.  Each reduction's corner walks, the last rows of its
+    elimination table (:func:`_reduce_cells`), are copied out of it as one
+    contiguous slice, so no table outlives its reduction and the cached
+    walks keep none alive."""
     k = ctx.spec.letters
+    pairs = len(ctx.schedule.corners)
     p = max(m, _prefix_level(k, n))
     level_address_count(ctx.spec, p)
     W = None
@@ -723,10 +734,10 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
         part = _corner_lengths(values)
         del values  # not held through the block's reductions
         for _ in range(n - p):
-            part = _reduce_cells(part, ctx.schedule)[ctx.schedule.corners]
+            part = _reduce_cells(part, ctx.schedule)[-pairs:].copy()
         W = _put_block(W, part, start // k ** (n - p), k ** p)
     for _ in range(p - m):
-        W = _reduce_cells(W, ctx.schedule)[ctx.schedule.corners]
+        W = _reduce_cells(W, ctx.schedule)[-pairs:].copy()
     return W
 
 

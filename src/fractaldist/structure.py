@@ -473,8 +473,11 @@ class ReductionSchedule:
     weight of corner pair ``pair`` of child ``child`` goes to the slot.
     ``updates`` lists ``(dst, first, a, b)``: ``G[a]`` and ``G[b]`` combine
     into ``G[dst]``.  ``first`` marks each slot's one first write, an
-    assignment, and no write reads a slot before it.  ``corners`` holds the
-    slot of each parent corner pair in ``np.triu_indices(q, 1)`` order.
+    assignment, and no write reads a slot before it.  The slots of the
+    parent's corner pairs are numbered last, in ``np.triu_indices(q, 1)``
+    order: ``corners`` is ``np.arange(slots - pairs, slots)``, so the corner
+    walks of an elimination table are its last ``pairs`` rows, one
+    contiguous slice.
     ``eliminated`` lists the interior nodes in elimination order as ``(node,
     neighbours, slots, writes)``: the neighbours it had when it was
     eliminated (at least one), the slots of its pairs with them, and the
@@ -552,9 +555,18 @@ def reduction_schedule(pattern: LevelGraph) -> ReductionSchedule:
                 heapq.heappush(heap, (len(adjacent[u]), u))
     for c in corners:
         pivot(c)
-    closed = np.array([slot_of(corners[i], corners[j]) for i, j in zip(a, b)])
+    # renumber: the corner pairs last, in np.triu_indices order, every other
+    # slot in the order of its first write
+    closed = [slot_of(corners[i], corners[j]) for i, j in zip(a, b)]
+    order = [t for t in range(len(slot)) if t not in closed] + closed
+    new = {old: t for t, old in enumerate(order)}
+    seeds = [(new[dst], first, p, i) for dst, first, p, i in seeds]
+    updates = [(new[dst], first, new[u], new[v]) for dst, first, u, v in updates]
+    eliminated = [(x, around, tuple(new[t] for t in slots), writes)
+                  for x, around, slots, writes in eliminated]
     return ReductionSchedule(pattern.cells, np.array(corners), len(slot), tuple(seeds),
-                             tuple(updates), closed, tuple(eliminated))
+                             tuple(updates), np.arange(len(slot) - len(closed), len(slot)),
+                             tuple(eliminated))
 
 
 # ---------------------------------------------------------------------------

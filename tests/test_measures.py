@@ -148,6 +148,33 @@ def test_additivity_deep_tables(sg2_hs, hexa_hs):
         assert all(v.min() >= -1e-12 * scale for v in per_level)
 
 
+@pytest.mark.parametrize("k", range(2, 11))
+def test_subtree_sums_add_children_left_to_right(k):
+    rng = np.random.default_rng(k)
+    size = k ** int(np.log(20000) / np.log(k))
+    # signed values over a wide range of exponents, zeros of both signs,
+    # subnormals, children that cancel and whole subtrees of -0.0
+    deepest = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-40, 40, size))
+    deepest[rng.random(size) < 0.2] = 0.0
+    deepest[rng.random(size) < 0.1] = -0.0
+    tiny = rng.random(size) < 0.05
+    deepest[tiny] = 5e-324 * rng.integers(-1000, 1000, tiny.sum())
+    deepest[1::k] = np.where(rng.random(size // k) < 0.1, -deepest[0::k], deepest[1::k])
+    for j in rng.choice(size // k, size // k // 10, replace=False).tolist():
+        deepest[j * k:(j + 1) * k] = -0.0
+    table = CellMeasureTable.from_deepest(k, deepest)
+    assert table.values[-1] is deepest and table.values[0].size == 1
+    v = deepest
+    for depth in reversed(range(len(table.values) - 1)):
+        total = np.zeros(v.size // k)  # a sum from +0.0, one child at a time
+        for j in range(k):
+            total += v[j::k]
+        assert table.values[depth].tobytes() == total.tobytes(), depth
+        if k <= 7:  # numpy's own order below 8 terms
+            assert total.tobytes() == v.reshape(-1, k).sum(axis=1).tobytes(), depth
+        v = total
+
+
 def test_measure_table_consistent_with_direct_values(sg2_hs):
     rng = np.random.default_rng(15)
     h = random_tuple(rng)

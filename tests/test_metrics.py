@@ -53,6 +53,8 @@ from conftest import (
     TWO_CORNER_FIELDS,
     UNIT_TRIANGLE_D,
     builtin_hs,
+    chain_spec,
+    tetra_spec,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -668,8 +670,43 @@ def test_elimination_matches_inf_and_gather_references(name, blocked, monkeypatc
     # every slot row, not only the corner rows
     assert np.array_equal(G, inf_reduce_cells(W, schedule))
     corner_d = weights(q, 7)
-    assert np.array_equal(metrics._fill_patterns(corner_d, G, schedule),
-                          gather_fill_patterns(corner_d, G, schedule))
+    nodes = np.empty((len(schedule.boundary_ids) + len(schedule.eliminated), 7))
+    nodes[schedule.boundary_ids] = corner_d
+    metrics._fill_patterns(nodes, G, schedule)
+    assert np.array_equal(nodes, gather_fill_patterns(corner_d, G, schedule))
+
+
+LAYOUT_SPECS = {**{f"gasket:{side}": generate_spec("gasket", side) for side in range(2, 10)},
+                "polygasket:6": generate_spec("polygasket", 6),
+                "polygasket:9": generate_spec("polygasket", 9),
+                "tetra": tetra_spec(), "chain:5": chain_spec(5),
+                "two-corner": FractalSpec.from_json_dict(TWO_CORNER_FIELDS)}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_SPECS))
+def test_schedule_numbers_the_corner_slots_last(name, monkeypatch):
+    spec = LAYOUT_SPECS[name]
+    schedule = spec.schedule
+    k, q = spec.letters, spec.boundary
+    pairs = q * (q - 1) // 2
+    assert schedule.corners.tolist() == list(range(schedule.slots - pairs, schedule.slots))
+    written = set()
+    for dst, first, *_ in schedule.seeds + schedule.updates:
+        assert first == (dst not in written)  # each slot's first write assigns
+        written.add(dst)
+    assert written == set(range(schedule.slots))
+    W = np.random.default_rng(5).exponential(size=(pairs, k * 5))
+    G = metrics._reduce_cells(W, schedule)
+    assert np.shares_memory(G[-pairs:], G)
+    assert np.array_equal(G[-pairs:], inf_reduce_cells(W, schedule)[schedule.corners])
+    # in one block per level, and streamed from level 1 in blocks of one
+    # prefix cell: the cached walks hold no elimination table
+    hs = HarmonicStructure.build(spec)
+    for block in (measures._STREAM_BLOCK_CELLS, k):
+        monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", block)
+        ctx = MetricContext(hs)
+        for m in range(2):
+            assert metrics.corner_walks(ctx, 2, m).flags.owndata, (block, m)
 
 
 @pytest.mark.parametrize("name", ["gasket:2", "gasket:3", "polygasket:6", "polygasket:9"])
