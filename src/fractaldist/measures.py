@@ -82,6 +82,14 @@ def default_tuple(hs: HarmonicStructure) -> HarmonicTuple:
     return HarmonicTuple(np.stack(rows))
 
 
+def check_tuple_width(hs: HarmonicStructure, h: HarmonicTuple) -> None:
+    """Raise ``ValueError`` unless the tuple's rows hold one value per
+    boundary point of the spec."""
+    if h.alphas.shape[1] != hs.spec.boundary:
+        raise ValueError(f"tuple rows hold {h.alphas.shape[1]} boundary values, "
+                         f"the spec has {hs.spec.boundary} boundary points")
+
+
 def child_values(hs: HarmonicStructure, C: np.ndarray, s: int) -> np.ndarray:
     """Corner values of the cells ``s`` letters below each cell of ``C``.
 
@@ -125,9 +133,7 @@ def cell_boundary_values(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.
     tuple whose rows do not hold one value per boundary point (``ValueError``).
     """
     level_address_count(hs.spec, n)
-    if h.alphas.shape[1] != hs.spec.boundary:
-        raise ValueError(f"tuple rows hold {h.alphas.shape[1]} boundary values, "
-                         f"the spec has {hs.spec.boundary} boundary points")
+    check_tuple_width(hs, h)
     return child_values(hs, h.alphas.T[None, :, :].astype(float), n)
 
 
@@ -223,23 +229,34 @@ def cell_form(D: np.ndarray, rw: np.ndarray | float, X: np.ndarray,
 def pair_form(D: np.ndarray, rw: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``(2 / r_w) * sum_p D[a, b] * table[p]`` to ``out`` and return
     it, for a ``[pairs, cells]`` :func:`corner_products` table, which is
-    overwritten: the pair weighting of :func:`cell_form` and of the profile's
-    one pass over a level (``metrics._measure_level``)."""
+    overwritten: the pair weighting of :func:`cell_form` and of
+    :func:`tuple_cell_measures`."""
     table *= D[np.triu_indices(len(D), 1)][:, None]
     table.sum(axis=0, out=out)
     out *= 2.0
     return np.divide(out, rw, out=out)
 
 
-def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int) -> np.ndarray:
+def tuple_cell_measures(hs: HarmonicStructure, h: HarmonicTuple, n: int,
+                        lengths: np.ndarray | None = None) -> np.ndarray:
     """Vector of measures of all level-``n`` cells (big-endian code order),
-    by :func:`cell_form` on each block of :func:`_cell_blocks`."""
+    from one pass over the blocks of :func:`_cell_blocks`: each block's
+    :func:`corner_products` table is weighted by :func:`pair_form`.
+
+    Given a ``[pairs, k**n]`` array ``lengths``, the pass also writes there
+    the cells' embedded corner-to-corner lengths, the square roots of each
+    table before it is weighted: the level's unreduced corner walks, laid
+    out as :func:`metrics.corner_walks` at ``m == n``."""
     level_address_count(hs.spec, n)  # before rw, the first whole-level array
     rw = renorm_products(hs.r, n)
-    mu = None
+    mu = np.empty(len(rw))
     for start, values in _cell_blocks(hs, h, n):
-        part = cell_form(hs.D, rw[start:start + len(values)], values)
-        mu = _put_block(mu, part, start, len(rw))
+        table = corner_products(values)
+        del values
+        part = slice(start, start + table.shape[1])
+        if lengths is not None:
+            np.sqrt(table, out=lengths[:, part])
+        pair_form(hs.D, rw[part], table, mu[part])
     return mu
 
 

@@ -19,7 +19,8 @@ builder serves every depth (:func:`corner_walks`): the level-``n`` cells are
 expanded and reduced one block of subtrees at a time, so the references'
 walks never hold a whole level.  Profiles and
 certificates, which need every vertex, measure the level's unreduced corner
-lengths and its tuple measures in one pass over its cells (:func:`_profile`),
+lengths with its tuple measures, in the one pass of
+:func:`measures.tuple_cell_measures` over its cells (:func:`_profile`),
 keep each level's elimination table on the way up and run the elimination
 backwards on the way down (:func:`geodesic_profile`); the path of
 :func:`discrete_geodesic` is walked back over the level's cell edges that its
@@ -32,15 +33,17 @@ estimate from one) runs Dijkstra on its skeleton, the whole level-``n`` walk
 graph.  Otherwise the level-``n`` graph (:func:`weighted_level_graph`) is
 built on demand, for the ``graph`` export and the tests' Dijkstra oracles.
 
-A :class:`MetricContext` keeps, per level, the vertex graph, the cell
-measures, one profile, the last one computed there, and the corner walks that
-were asked for by ``(n, m)``.  A profile leaves the level's measures set and
-keeps no corner lengths, so a certificate or estimate after it from the same
-source reads that profile and those measures, and expands no cell again.  A
-path after it runs no second elimination, but measures the level's corner
-lengths again (:func:`edge_arrays`).  The profile, and a certificate's values
-when the cap caps nothing, are shared and read-only; a request from another
-source replaces the level's profile.
+A :class:`MetricContext` keeps one :class:`LevelData` record per level (the
+vertex graph, and the cell measures and the last profile that the level's
+profiles leave), and the corner walks that were asked for by ``(n, m)``.  A
+profile's pass leaves the level's measures and keeps no corner lengths, so a
+certificate or estimate after it from the same source reads that profile and
+those measures, and expands no cell again.  A path after it runs no second
+elimination, but measures the level's corner lengths again
+(:func:`edge_arrays`).  The profile, and a certificate's values when the cap
+caps nothing, are shared and read-only; a request from another source
+replaces the level's profile.  Each route checks its references against
+the level before any work on it (:func:`_checked_level`).
 
 A *certificate* is the capped single-source distance profile: its
 interpolant's energy measure is dominated cell-by-cell by the tuple's
@@ -72,9 +75,9 @@ from .measures import (
     _put_block,
     cell_form,
     check_domination,
+    check_tuple_width,
     corner_products,
     default_tuple,
-    pair_form,
     tuple_cell_measures,
 )
 from .structure import (
@@ -98,54 +101,49 @@ PATH_RTOL = 1e-12
 
 @dataclass
 class LevelData:
-    """Cached arrays of one whole level, each built on its first request: the
-    vertex graph, the tuple's cell measures and one distance profile.  The
-    measures are set by the level's first profile, whose pass over the cells
-    measures them with the corner lengths (:func:`_profile`), or else filled
-    block by block by :func:`tuple_cell_measures`.  No array holds the corner
-    values of the whole level, nor, here, its corner lengths: those are
-    :func:`corner_walks` at ``m == n``, cached on the context when asked for.
+    """What is kept of one whole level: its vertex graph, built on first read,
+    and the two arrays its profiles leave.
 
-    ``profile`` is the last profile :func:`geodesic_profile` computed on the
-    level, as ``((source level, canonical source vertex id), phi)``, or None.
-    ``phi`` is read-only and shared with every caller, an uncapped
-    :attr:`Certificate.values` included; a request from another source
-    replaces it."""
+    ``mu`` holds the tuple's measures of the level cells, from the pass of
+    :func:`tuple_cell_measures` that measures the cells' corner lengths for
+    the profile (:func:`_profile`); it is None until the level's first
+    profile.  ``profile`` is the last profile :func:`geodesic_profile`
+    computed on the level, as ``((source level, canonical source vertex id),
+    phi)``, or None.  ``phi`` is read-only and shared with every caller, an
+    uncapped :attr:`Certificate.values` included; a request from another
+    source replaces it.  No array here holds the corner values of the whole
+    level, nor its corner lengths: those are :func:`corner_walks` at ``m ==
+    n``, cached on the context when asked for."""
 
-    hs: HarmonicStructure
-    h: HarmonicTuple
+    spec: FractalSpec
     level: int
+    mu: np.ndarray | None = None
     profile: tuple[tuple[int, int], np.ndarray] | None = None
 
     @functools.cached_property
     def lg(self) -> LevelGraph:
         """Vertex graph of the level, as :func:`build_level`."""
-        return build_level(self.hs.spec, self.level)
-
-    @functools.cached_property
-    def mu(self) -> np.ndarray:
-        """Tuple measures of the level cells, as :func:`tuple_cell_measures`;
-        a profile of the level sets them first."""
-        return tuple_cell_measures(self.hs, self.h, self.level)
+        return build_level(self.spec, self.level)
 
 
 class MetricContext:
     """Immutable bundle of (spec, structure, harmonic tuple) with per-level
-    caches used by all distance computations: whole levels (:class:`LevelData`:
-    the vertex graph, the cell measures and the last distance profile), and
-    the corner walks of :func:`corner_walks` keyed by ``(n, m)``, the level's
-    own corner lengths at ``m == n``.  Each array is built on its first
-    request; the profile is replaced by a request from another source.
-    Profiles read no corner walks and leave none here: they measure the
-    level's corner lengths themselves and free them on the way up.
-    The corner walks and the profile are shared with later callers and
-    read-only.
+    caches used by all distance computations: one :class:`LevelData` record
+    per level (its vertex graph, and the cell measures and last distance
+    profile that its profiles leave), and the corner walks of
+    :func:`corner_walks` keyed by ``(n, m)``, the level's own corner lengths
+    at ``m == n``.  Profiles read no corner walks and leave none here: their
+    pass over the level measures its corner lengths with its cell measures,
+    and frees the lengths on the way up.  The corner walks and the profile
+    are shared with later callers and read-only.  A tuple whose rows do not
+    hold one value per boundary point raises ``ValueError`` here.
     Reads are thread-safe once built; building is not."""
 
     def __init__(self, hs: HarmonicStructure, h: HarmonicTuple | None = None):
         self.hs = hs
         self.spec: FractalSpec = hs.spec
         self.h = h if h is not None else default_tuple(hs)
+        check_tuple_width(hs, self.h)
         self._levels: dict[int, LevelData] = {}
         self._walks: dict[tuple[int, int], np.ndarray] = {}
 
@@ -153,19 +151,13 @@ class MetricContext:
     def n_components(self) -> int:
         return self.h.n_components
 
-    @property
-    def schedule(self) -> ReductionSchedule:
-        """Elimination schedule of the spec's level-1 pattern, cached on the
-        spec (:attr:`FractalSpec.schedule`)."""
-        return self.spec.schedule
-
     def level(self, n: int) -> LevelData:
         """Cache entry of level ``n``; its address count is checked before
         anything of it is computed."""
         data = self._levels.get(n)
         if data is None:
             level_address_count(self.spec, n)
-            data = LevelData(self.hs, self.h, n)
+            data = LevelData(self.spec, n)
             self._levels[n] = data
         return data
 
@@ -198,13 +190,6 @@ class MetricContext:
         return T
 
 
-def _corner_lengths(cell_values: np.ndarray) -> np.ndarray:
-    """Embedded Euclidean length between corners ``a < b`` of every cell:
-    the square root of :func:`corner_products`, laid out ``[pairs, cells]``."""
-    lengths = corner_products(cell_values)
-    return np.sqrt(lengths, out=lengths)
-
-
 def edge_arrays(ctx: MetricContext, n: int):
     """Within-cell edge list ``(u, v, w)`` of the level-``n`` graph; one entry
     per unordered corner pair per cell, weights = embedded Euclidean lengths,
@@ -215,7 +200,7 @@ def edge_arrays(ctx: MetricContext, n: int):
 def _walk_graph(lg: LevelGraph, W: np.ndarray) -> sp.csr_matrix:
     """Symmetric CSR walk graph on the vertices of ``lg``, with weight
     ``W[p, c]`` between the corners of pair ``p`` of cell ``c`` (``W`` laid
-    out as :func:`_corner_lengths`).
+    out as :func:`corner_walks`).
 
     Where cells share a vertex pair the shorter weight is kept: the COO to
     CSR conversion sums such entries, so only when it stores fewer entries
@@ -263,6 +248,16 @@ class GeodesicResult:
     level: int
 
 
+def _checked_level(ctx: MetricContext, n: int, *refs: VertexRef) -> LevelData:
+    """The record of level ``n``, once its address count is checked and each
+    of ``refs`` is lifted to it (``ValueError`` for a bad letter or label, or
+    a ref deeper than ``n``): before any work on the level."""
+    data = ctx.level(n)
+    for ref in refs:
+        lift(ctx.spec, ref, n)
+    return data
+
+
 def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     """Single-source shortest walk lengths from ``x`` to every level-``n``
     vertex, without the level-``n`` graph unless ``x`` lies on level ``n``.
@@ -273,8 +268,7 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     read-only, since every caller shares it.  A request from another source
     replaces it.  Otherwise the profile is computed by :func:`_profile`.
     """
-    data = ctx.level(n)
-    lift(ctx.spec, x, n)  # x must name a vertex of level n
+    data = _checked_level(ctx, n, x)
     src_lg = ctx.level(x.level).lg
     key = (x.level, src_lg.vertex_id(x))
     if data.profile is None or data.profile[0] != key:
@@ -285,50 +279,30 @@ def geodesic_profile(ctx: MetricContext, x: VertexRef, n: int) -> np.ndarray:
     return data.profile[1]
 
 
-def _measure_level(ctx: MetricContext, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The level-``n`` cells' corner lengths, laid out as
-    :func:`_corner_lengths`, and their tuple measures, as
-    :func:`tuple_cell_measures`, bit for bit, from one pass over
-    :func:`_cell_blocks`: each block's :func:`corner_products` table gives
-    both, its square roots first and then its :func:`pair_form`."""
-    hs = ctx.hs
-    rw = renorm_products(hs.r, n)
-    lengths = np.empty((math.comb(ctx.spec.boundary, 2), len(rw)))
-    mu = np.empty(len(rw))
-    for start, values in _cell_blocks(hs, ctx.h, n):
-        table = corner_products(values)
-        del values
-        part = slice(start, start + table.shape[1])
-        np.sqrt(table, out=lengths[:, part])
-        pair_form(hs.D, rw[part], table, mu[part])
-    return lengths, mu
-
-
 def _profile(ctx: MetricContext, src_lg: LevelGraph, src: int, n: int) -> np.ndarray:
     """The profile of :func:`geodesic_profile` from vertex ``src`` of the
     source level ``src_lg``.
 
     The level's corner lengths and tuple measures are measured in one pass,
-    one block of cells at a time (:func:`_measure_level`); the measures
-    become ``LevelData.mu`` unless the level has them already.  The lengths
-    are not cached: they are reduced up the cell tree to the source level
-    ``m`` (:func:`_reduce_cells`), keeping each level's elimination table,
-    and freed after the first step; each level's corner walks are the last
-    rows of its table, read in place.  Dijkstra runs on the level-``m``
-    skeleton, as in :func:`geodesic_converge`; the tables are then run
-    backwards down the tree (:func:`_fill_patterns`), each freed once its
-    level is filled.  Each level's ``[nodes, P]`` table is made once, with
-    its corner rows written straight from the parents' nodes, and the
-    level-``n`` cells' corners are scattered to their vertex ids.  Every
-    vertex is a node of one parent's pattern, or a skeleton vertex, and takes
-    its value there; identified corners copy it, so the profile does not
-    depend on the scatter order.
+    one block of cells at a time (:func:`tuple_cell_measures`); the measures
+    become ``LevelData.mu``.  The lengths are not cached: they are reduced
+    up the cell tree to the source level ``m`` (:func:`_reduce_cells`),
+    keeping each level's elimination table, and freed after the first step;
+    each level's corner walks are the last rows of its table, read in place.
+    Dijkstra runs on the level-``m`` skeleton, as in
+    :func:`geodesic_converge`; the tables are then run backwards down the
+    tree (:func:`_fill_patterns`), each freed once its level is filled.
+    Each level's ``[nodes, P]`` table is made once, with its corner rows
+    written straight from the parents' nodes, and the level-``n`` cells'
+    corners are scattered to their vertex ids.  Every vertex is a node of
+    one parent's pattern, or a skeleton vertex, and takes its value there;
+    identified corners copy it, so the profile does not depend on the
+    scatter order.
     """
-    schedule = ctx.schedule
+    schedule = ctx.spec.schedule
     pairs = len(schedule.corners)
-    W, mu = _measure_level(ctx, n)
-    vars(ctx.level(n)).setdefault("mu", mu)  # where the cached_property keeps it
-    del mu
+    W = np.empty((pairs, ctx.spec.letters ** n))
+    ctx.level(n).mu = tuple_cell_measures(ctx.hs, ctx.h, n, W)
     tables = []
     for _ in range(n - src_lg.level):
         tables.append(_reduce_cells(W, schedule))
@@ -378,6 +352,7 @@ def discrete_geodesic(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int) ->
     Where cells share a vertex pair, a longer edge is tight only when the
     shortest is, so the walk graph's minimum need not be taken.
     """
+    _checked_level(ctx, n, x, y)
     phi = geodesic_profile(ctx, x, n)
     src = ctx.vertex_id(x, n)
     dst = ctx.vertex_id(y, n)
@@ -527,7 +502,7 @@ def intrinsic_certificate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int
         cap = default_cap(ctx)
     if not 0 <= cap < math.inf:
         raise ValueError(f"cap must be finite and nonnegative, got {cap}")
-    data = ctx.level(n)
+    data = _checked_level(ctx, n, x, y)
     phi = geodesic_profile(ctx, x, n)
     # uncapped, the certificate shares the level's read-only profile
     f = phi if phi.max() <= cap else np.minimum(phi, cap)
@@ -566,7 +541,7 @@ def intrinsic_estimate(ctx: MetricContext, x: VertexRef, y: VertexRef, n: int,
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    data = ctx.level(n)
+    data = _checked_level(ctx, n, x, y)
     cells = data.lg.cells
     cert = intrinsic_certificate(ctx, x, y, n)
     x_id = ctx.vertex_id(x, n)
@@ -726,18 +701,20 @@ def _streamed_walks(ctx: MetricContext, n: int, m: int) -> np.ndarray:
     contiguous slice, so no table outlives its reduction and the cached
     walks keep none alive."""
     k = ctx.spec.letters
-    pairs = len(ctx.schedule.corners)
+    schedule = ctx.spec.schedule
+    pairs = len(schedule.corners)
     p = max(m, _prefix_level(k, n))
     level_address_count(ctx.spec, p)
     W = None
     for start, values in _cell_blocks(ctx.hs, ctx.h, n):
-        part = _corner_lengths(values)
+        part = corner_products(values)
         del values  # not held through the block's reductions
+        np.sqrt(part, out=part)
         for _ in range(n - p):
-            part = _reduce_cells(part, ctx.schedule)[-pairs:].copy()
+            part = _reduce_cells(part, schedule)[-pairs:].copy()
         W = _put_block(W, part, start // k ** (n - p), k ** p)
     for _ in range(p - m):
-        W = _reduce_cells(W, ctx.schedule)[-pairs:].copy()
+        W = _reduce_cells(W, schedule)[-pairs:].copy()
     return W
 
 

@@ -47,5 +47,12 @@ def test_tracer_hooks_resolve_and_restore(tmp_path):
             "metrics.geodesic_profile", "metrics.intrinsic_certificate",
             "metrics.MetricContext.level", "harmonic.build", "measures.SlackTable.to_csv",
             "cli.main"} <= recorded
+    # each profile measures its level in the one pass of the tuple's measures,
+    # called positionally, so that the span knows its level
+    profiles = [i for i, span in enumerate(tr.spans) if span.name == "metrics.geodesic_profile"]
+    passes = [span for span in tr.spans if span.name == "measures.tuple_cell_measures"
+              and span.parent in profiles]
+    assert len(profiles) == 2 and sorted(span.parent for span in passes) == profiles
+    assert all(span.attrs == {"spec": "gasket:2", "level": 2} for span in passes)
     assert [getattr(owner, name) for owner, name in functions] == before
     assert [vars(cls)[name] for cls, name in methods] == before_methods

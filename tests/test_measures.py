@@ -227,7 +227,7 @@ def test_words_deeper_than_the_table_are_rejected(sg2_ctx):
     hs, n = sg2_ctx.hs, 2
     lg = sg2_ctx.level(n).lg
     f = np.arange(lg.num_vertices, dtype=float)
-    slack = check_domination(hs, lg, f, sg2_ctx.level(n).mu)
+    slack = check_domination(hs, lg, f, tuple_cell_measures(hs, sg2_ctx.h, n))
     for table in (cell_measure_table(hs, sg2_ctx.h, n), slack):
         with pytest.raises(ValueError, match="deeper than depth 2"):
             table.value((0, 0, 0))
@@ -245,7 +245,7 @@ def test_out_of_range_letters_are_rejected(sg2_ctx, word):
     lg = sg2_ctx.level(n).lg
     f = np.arange(lg.num_vertices, dtype=float)
     table = cell_measure_table(hs, sg2_ctx.h, n)
-    slack = check_domination(hs, lg, f, sg2_ctx.level(n).mu)
+    slack = check_domination(hs, lg, f, tuple_cell_measures(hs, sg2_ctx.h, n))
     with pytest.raises(ValueError, match=r"not in range\(3\)"):
         encode_word(word, 3)
     for read in (table.value, slack.value, lambda w: piecewise_cell_measure(hs, lg, f, w)):
@@ -325,7 +325,7 @@ def test_domination_quadratic_scaling_infeasible(sg2_ctx):
 def test_slack_csv_headers(sg2_ctx):
     lg = sg2_ctx.level(1).lg
     f = np.zeros(lg.num_vertices)
-    table = check_domination(sg2_ctx.hs, lg, f, sg2_ctx.level(1).mu)
+    table = check_domination(sg2_ctx.hs, lg, f, tuple_cell_measures(sg2_ctx.hs, sg2_ctx.h, 1))
     text = "".join(table.to_csv())
     lines = text.strip().split("\n")
     assert lines[0] == "word,depth,slack"

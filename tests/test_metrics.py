@@ -24,6 +24,7 @@ from fractaldist.measures import (
     cell_energies,
     cell_form,
     child_values,
+    corner_products,
     tuple_cell_measures,
 )
 from fractaldist.metrics import (
@@ -320,7 +321,7 @@ def test_profile_blocks_identical(request, hs_fixture, n, monkeypatch):
     x = VertexRef((1, 0), ctx.spec.boundary - 1)
     whole = geodesic_profile(ctx, x, n)
     # two parents per block, up and down the cell tree
-    monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * ctx.schedule.slots)
+    monkeypatch.setattr(metrics, "_REDUCE_BLOCK_ENTRIES", 2 * ctx.spec.schedule.slots)
     ctx.evict(n)  # else the level's kept profile is returned
     assert np.array_equal(geodesic_profile(ctx, x, n), whole)
 
@@ -469,14 +470,14 @@ def test_profile_measures_the_level_once(name, n, alphas, block, monkeypatch):
     # read its own
     hs = skew_gasket_hs() if name.startswith("skew") else builtin_hs(name)
     h = None if alphas is None else HarmonicTuple(np.array(alphas, dtype=float))
-    mu = MetricContext(hs, h).level(n).mu
+    ctx = MetricContext(hs, h)
+    mu = tuple_cell_measures(hs, ctx.h, n)
     if block is not None:  # blocks of 7 cells put seams inside the pass
         monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", block)
-    ctx = MetricContext(hs, h)
     x, y = CORNER[0], CORNER[1]
     geodesic_profile(ctx, x, n)
     # the profile's pass leaves the measures, and keeps no corner lengths
-    assert "mu" in vars(ctx.level(n))
+    assert ctx.level(n).mu is not None
     assert np.array_equal(ctx.level(n).mu, mu)
     assert (n, n) not in ctx._walks
     expanded = []
@@ -724,9 +725,10 @@ def test_corner_walks_stream_matches_whole_level(name, data):
     # blocks of several prefixes
     chunk = data.draw(st.integers(1, 3)) * k ** data.draw(st.integers(0, n))
     ctx = MetricContext(hs, HarmonicTuple(alphas))
-    whole = [metrics._corner_lengths(cell_boundary_values(hs, ctx.h, n))]
+    whole = [np.sqrt(corner_products(cell_boundary_values(hs, ctx.h, n)))]
+    schedule = ctx.spec.schedule
     for _ in range(n):
-        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule)[ctx.schedule.corners])
+        whole.append(metrics._reduce_cells(whole[-1], schedule)[schedule.corners])
     with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk):
         for m in range(n + 1):
             assert np.array_equal(metrics.corner_walks(ctx, n, m), whole[n - m]), m
@@ -739,9 +741,10 @@ def test_corner_walks_above_the_prefix_level(monkeypatch):
     monkeypatch.setattr(measures, "_STREAM_BLOCK_CELLS", 27)
     assert measures._prefix_level(3, n) == 4
     ctx = MetricContext(builtin_hs("gasket:2"))
-    whole = [metrics._corner_lengths(cell_boundary_values(ctx.hs, ctx.h, n))]
+    whole = [np.sqrt(corner_products(cell_boundary_values(ctx.hs, ctx.h, n)))]
+    schedule = ctx.spec.schedule
     for _ in range(n):
-        whole.append(metrics._reduce_cells(whole[-1], ctx.schedule)[ctx.schedule.corners])
+        whole.append(metrics._reduce_cells(whole[-1], schedule)[schedule.corners])
     calls = []
     streamed_walks = metrics._streamed_walks
 
@@ -795,7 +798,7 @@ def test_level_tables_match_whole_level(name, data):
     # gathers, and the corner-by-corner scatter of the values
     values = cell_boundary_values(hs, ctx.h, n)
     rw = renorm_products(hs.r, n)
-    lengths = metrics._corner_lengths(values)
+    lengths = np.sqrt(corner_products(values))
     mu = cell_form(hs.D, rw, values)
     energies = cell_form(hs.D, rw, f[lg.cells])
     pairing = cell_form(hs.D, rw, f[lg.cells], g[lg.cells])
@@ -804,8 +807,11 @@ def test_level_tables_match_whole_level(name, data):
         coords[lg.cells[:, a]] = values[:, a]
     with mock.patch.object(measures, "_STREAM_BLOCK_CELLS", chunk):
         assert np.array_equal(metrics.corner_walks(ctx, n, n), lengths)
-        assert np.array_equal(ctx.level(n).mu, mu)
         assert np.array_equal(tuple_cell_measures(hs, ctx.h, n), mu)
+        # the profile's pass: the same measures, and the lengths beside them
+        measured = np.full_like(lengths, np.nan)
+        assert np.array_equal(tuple_cell_measures(hs, ctx.h, n, measured), mu)
+        assert np.array_equal(measured, metrics.corner_walks(ctx, n, n))
         assert np.array_equal(ctx.coords(n), coords)
         assert np.array_equal(cell_energies(hs, lg, f), energies)
         assert np.array_equal(cell_form(hs.D, rw, f, g, cells=lg.cells), pairing)
@@ -1042,15 +1048,37 @@ def test_default_cap_exceeds_walk_values(sg2_ctx):
 
 
 @pytest.mark.parametrize("use", [
-    lambda ctx: geodesic_profile(ctx, CORNER[0], 2),
-    lambda ctx: measures.cell_measure_table(ctx.hs, ctx.h, 2),
-], ids=["profile", "measure-table"])
+    lambda hs, h: geodesic_profile(MetricContext(hs, h), CORNER[0], 2),
+    lambda hs, h: intrinsic_certificate(MetricContext(hs, h), CORNER[0], CORNER[1], 2),
+    lambda hs, h: measures.cell_measure_table(hs, h, 2),
+], ids=["profile", "certificate", "measure-table"])
 def test_tuple_of_the_wrong_width_is_rejected(sg2_hs, use):
-    # gasket:2 has three boundary points; rows of four values cannot expand
-    ctx = MetricContext(sg2_hs, HarmonicTuple(np.arange(4.0)[None]))
-    with pytest.raises(ValueError, match="tuple rows hold 4 boundary values, "
-                                         "the spec has 3 boundary points"):
-        use(ctx)
+    # gasket:2 has three boundary points; rows of two or four values cannot
+    # expand.  Unchecked by the context, a certificate's default cap raised
+    # numpy's broadcast error
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"tuple rows hold {width} boundary values, "
+                                             "the spec has 3 boundary points"):
+            use(sg2_hs, HarmonicTuple(np.arange(float(width))[None]))
+
+
+@pytest.mark.parametrize("route", [
+    lambda ctx, y: intrinsic_certificate(ctx, CORNER[0], y, 2),
+    lambda ctx, y: intrinsic_estimate(ctx, CORNER[0], y, 2),
+    lambda ctx, y: discrete_geodesic(ctx, CORNER[0], y, 2),
+], ids=["certificate", "estimate", "geodesic"])
+def test_both_references_are_checked_before_the_level(sg2_hs, route, monkeypatch):
+    # unchecked, a bad y was found only after the level's profile had run
+    def not_reached(*args):
+        raise AssertionError("the level's profile ran before y was checked")
+
+    monkeypatch.setattr(metrics, "_profile", not_reached)
+    ctx = MetricContext(sg2_hs)
+    for y, message in [(VertexRef((), 7), "label 7 of -:7 out of range"),
+                       (VertexRef((0, 1, 2), 0), "cannot lift level-3 ref down to level 2")]:
+        with pytest.raises(ValueError, match=message):
+            route(ctx, y)
+        assert "lg" not in vars(ctx.level(2))
 
 
 def test_estimate_budget_zero_is_certificate(sg2_ctx):
